@@ -1,0 +1,7 @@
+"""Lets the benchmark's tests import its modules and the program under test."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
