@@ -10,9 +10,9 @@ Theorem 4.4 envelope.
 import pytest
 
 from benchmarks._grid import ENGINES
-from repro.core.instrument import InstrumentedTwigM
 from repro.datasets.stats import collect_stats
 from repro.datasets.treebank import treebank_events
+from repro.obs.machines import ObsTwigM
 
 QUERIES = {
     "path": "//S//VP//NN",
@@ -53,7 +53,7 @@ def test_treebank_stack_bound(benchmark, corpus_events, corpus_stats):
     query = QUERIES["twig"]
 
     def run():
-        machine = InstrumentedTwigM(query)
+        machine = ObsTwigM(query)
         machine.feed(iter(corpus_events))
         return machine
 

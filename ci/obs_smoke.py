@@ -18,7 +18,7 @@ Gates the acceptance properties of the ``repro.obs`` layer:
    report exactly what an uninterrupted run reports.
 5. **Exposition round-trips** — the Prometheus text parses back into
    the same samples the snapshot reports, and the JSON rendering loads.
-6. **Compiled tiers report in** — a ``compiled=True`` run with metrics
+6. **Compiled tier reports in** — a ``compiled=True`` run with metrics
    populates the ``repro_compile_*`` families (DFA cache size, hit
    ratio, fallbacks), returns unchanged solution ids, and a compiled
    run *without* metrics must not touch the obs layer at all.

@@ -12,8 +12,8 @@ be attributed:
   scan → direct machine callbacks; see :mod:`repro.perf`).
 * **compiled pipeline** — ``XPathStream(query, compiled=True)``
   ``.evaluate_push`` (query-specialized tiers from :mod:`repro.compile`:
-  the lazy-DFA front-end plus turbo scanner for predicate-free paths,
-  generated dispatch for the rest).
+  the lazy-DFA front-end plus turbo scanner for predicate-free paths;
+  other queries run the interpreted push pipeline).
 
 Two corpora bracket the workload space: the XMark auction document
 (broad vocabulary, attribute-heavy, realistic text) and a synthetic
@@ -277,8 +277,8 @@ def run_benchmark(profile: str = DEFAULT_PROFILE, repeats: int = 3) -> dict:
     }
     # Compiled-tier summary: the 10x bar applies to predicate-free XMark
     # queries (those the interpreted selector routes to PathM — exactly
-    # the class the lazy-DFA front-end accepts); everywhere else the
-    # compiled tiers must at least not lose to the current push path.
+    # the class the lazy-DFA front-end accepts); everywhere else
+    # ``compiled=True`` must at least not lose to the current push path.
     pf_vs_pull = [
         row["compiled_vs_pull"]
         for row in payload["corpora"]["xmark"]["queries"].values()

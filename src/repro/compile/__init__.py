@@ -1,21 +1,14 @@
 """Query-specialized compilation of the hot path (``repro.compile``).
 
-Three compilation tiers sit above the interpreted machines of
-:mod:`repro.core`:
-
-* **interpreted** — PathM/BranchM/TwigM walk per-tag dispatch plans
-  (lists of ``(node, stack, parent_stack)`` records) on every event;
-* **specialized** — :mod:`repro.compile.codegen` turns each
-  ``(query, machine)`` pair into straight-line per-tag transition
-  functions via generated source + :func:`compile`, eliminating the
-  plan-list interpretation (``CompiledPathM``/``CompiledBranchM``/
-  ``CompiledTwigM``);
-* **DFA** — :mod:`repro.compile.dfa` front-ends PathM for predicate-free
-  XP{/,//,*} queries with an XMLTK-style lazily-determinised automaton
-  (:class:`DfaPathM`): states materialise only for tag sequences that
-  occur in the data, per-event work is one dict lookup, and a
-  state-count cap falls back to interpreted PathM when wildcard blow-up
-  threatens.
+``compiled=True`` selects one tier above the interpreted machines of
+:mod:`repro.core`: :mod:`repro.compile.dfa` front-ends PathM for
+predicate-free XP{/,//,*} queries with an XMLTK-style
+lazily-determinised automaton (:class:`DfaPathM`).  States materialise
+only for tag sequences that occur in the data, per-event work is one
+dict lookup, and a state-count cap falls back to interpreted PathM when
+wildcard blow-up threatens.  Queries with predicates run the same
+interpreted BranchM/TwigM as with ``compiled=False`` — δs/δe of
+Algorithm 1 have exactly one implementation per machine.
 
 :mod:`repro.compile.scan` adds the query-aware turbo scanner: when the
 active handlers provably ignore attributes and character data (path
@@ -28,7 +21,6 @@ is shared with the figure-7/8 baseline (``repro.baselines.lazydfa``),
 so the stand-in and the production cache cannot drift.
 """
 
-from repro.compile.codegen import CompiledBranchM, CompiledPathM, CompiledTwigM
 from repro.compile.dfa import DEFAULT_STATE_CAP, DfaPathM
 from repro.compile.metrics import CompileMetricsPublisher, compile_publisher
 from repro.compile.nfa import LazyDfa, Step, subset_step, trunk_steps
@@ -36,9 +28,6 @@ from repro.compile.scan import turbo_eligible, turbo_feed
 
 __all__ = [
     "CompileMetricsPublisher",
-    "CompiledBranchM",
-    "CompiledPathM",
-    "CompiledTwigM",
     "DEFAULT_STATE_CAP",
     "DfaPathM",
     "LazyDfa",

@@ -1,18 +1,17 @@
-"""Observability for the compilation tiers: the ``repro_compile_*`` family.
+"""Observability for the lazy-DFA tier: the ``repro_compile_*`` family.
 
 Mirrors :mod:`repro.obs.machines`: one :class:`CompileMetricsPublisher`
 per registry (see :func:`compile_publisher`), holding the tracked
-:class:`~repro.compile.dfa.DfaPathM` engines and a codegen counter, and
-registering a single collector that syncs the engines' authoritative
-internal counters into the registry on every render/snapshot/tick.
+:class:`~repro.compile.dfa.DfaPathM` engines and registering a single
+collector that syncs the engines' authoritative internal counters
+into the registry on every render/snapshot/tick.
 
 Zero cost when off by construction: engines only *import* this module
 when constructed with a ``metrics`` registry, the hot paths touch plain
 instance counters (``_starts``/``_misses``/``_fallbacks``) they
 maintain anyway, and all registry work happens at scrape time.
 
-Families (all labelled ``engine="dfa"`` except the codegen counter,
-which is labelled by the machine kind that was compiled):
+Families (all labelled ``engine="dfa"``):
 
 * ``repro_compile_dfa_states`` — DFA states currently materialised;
 * ``repro_compile_dfa_transitions`` — cached transitions;
@@ -23,9 +22,7 @@ which is labelled by the machine kind that was compiled):
 * ``repro_compile_hit_ratio`` — ``1 - misses/starts``, the fraction of
   start events resolved by one dict lookup;
 * ``repro_compile_fallbacks_total`` — swaps to interpreted PathM
-  (state-cap trips and mid-stream misalignments);
-* ``repro_compile_codegen_total`` — transition functions generated and
-  ``compile()``d by :mod:`repro.compile.codegen`.
+  (state-cap trips and mid-stream misalignments).
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ __all__ = ["CompileMetricsPublisher", "compile_publisher"]
 
 
 class CompileMetricsPublisher:
-    """Syncs compilation-tier counters into ``repro_compile_*`` families.
+    """Syncs lazy-DFA counters into ``repro_compile_*`` families.
 
     One publisher per registry (see :func:`compile_publisher`).  The
     publisher holds strong references to tracked engines; a registry is
@@ -68,10 +65,6 @@ class CompileMetricsPublisher:
             "repro_compile_fallbacks_total",
             "Swaps from the DFA to interpreted PathM (cap or misalignment).",
         )
-        self._codegen = registry.counter(
-            "repro_compile_codegen_total",
-            "Transition functions generated and compiled per machine kind.",
-        )
         registry.add_collector(self._collect)
 
     def track(self, engine):
@@ -79,10 +72,6 @@ class CompileMetricsPublisher:
         if all(existing is not engine for existing in self._engines):
             self._engines.append(engine)
         return engine
-
-    def note_codegen(self, machine_name: str, count: int = 1) -> None:
-        """Record ``count`` generated transition functions."""
-        self._codegen.inc(count, engine=machine_name)
 
     @property
     def engines(self) -> list:

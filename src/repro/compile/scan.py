@@ -4,9 +4,8 @@ The fused push path (:meth:`XmlTokenizer._scan_push`) already scans tags
 with compiled regexes, but it still pays — per event — for attribute
 parsing, text slicing and delivery, per-tag cursor accounting, and
 per-event limit checks.  A predicate-free path machine consumes *none*
-of that: :class:`~repro.compile.dfa.DfaPathM` and
-:class:`~repro.compile.codegen.CompiledPathM` ignore attributes and
-character data entirely (they advertise ``turbo_scan_safe = True``).
+of that: :class:`~repro.compile.dfa.DfaPathM` ignores attributes and
+character data entirely (it advertises ``turbo_scan_safe = True``).
 
 :func:`turbo_feed` exploits the contract.  One combined regex walks the
 buffer with ``finditer`` (a single C-level scan), start tags are

@@ -9,14 +9,12 @@
 * :mod:`repro.core.fragments` — XML-fragment output with buffer GC.
 * :mod:`repro.core.multiquery` — many standing queries, one pass.
 * :mod:`repro.core.filtering` — shared-automaton query filtering.
-* :mod:`repro.core.instrument` — operation counters (Theorem 4.4).
 * :mod:`repro.core.debug` — machine/state rendering and tracing.
 """
 
 from repro.core.branchm import BranchM, evaluate_branchm
 from repro.core.filtering import FilterSet, PathFilterSet
 from repro.core.fragments import FragmentCapture, evaluate_fragments
-from repro.core.instrument import InstrumentedTwigM, OperationCounts
 from repro.core.machine import EDGE_EQ, EDGE_GE, Machine, MachineNode, build_machine
 from repro.core.multiquery import MultiQueryStream
 from repro.core.pathm import PathM, evaluate_pathm
@@ -29,9 +27,7 @@ __all__ = [
     "PathFilterSet",
     "CandidateTracker",
     "FragmentCapture",
-    "InstrumentedTwigM",
     "MultiQueryStream",
-    "OperationCounts",
     "evaluate_fragments",
     "EDGE_EQ",
     "EDGE_GE",

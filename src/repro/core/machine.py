@@ -47,7 +47,7 @@ EDGE_GE = ">="
 #: alphabet.  Engines alias the wildcard plan under each miss tag so
 #: repeated unknown tags cost one dict hit; the cap keeps adversarial
 #: tag churn from growing the table without bound (mirrors the router's
-#: and codegen's cache limits).
+#: cache limit).
 TAG_CACHE_LIMIT = 4096
 
 

@@ -87,28 +87,19 @@ def select_engine_class(query: QueryTree):
 
 
 def select_compiled_engine_class(engine_class, explicit: bool):
-    """The compiled tier for an interpreted engine choice.
+    """The engine class ``compiled=True`` runs for an interpreted choice.
 
     Automatically-selected PathM upgrades to the lazy-DFA front-end
-    (the fastest tier; its state cap guarantees PathM behaviour in the
-    worst case).  An *explicitly* requested ``engine="pathm"`` keeps the
-    PathM machine — with generated dispatch — so its snapshot engine
-    name is honoured.
+    (:class:`~repro.compile.dfa.DfaPathM`; its state cap guarantees
+    PathM behaviour in the worst case).  Every other choice — including
+    an *explicitly* requested ``engine="pathm"``, whose snapshot engine
+    name is honoured — runs unchanged.
     """
-    from repro.compile import (
-        CompiledBranchM,
-        CompiledPathM,
-        CompiledTwigM,
-        DfaPathM,
-    )
+    if engine_class is PathM and not explicit:
+        from repro.compile.dfa import DfaPathM
 
-    if engine_class is DfaPathM:
         return DfaPathM
-    if engine_class is PathM:
-        return CompiledPathM if explicit else DfaPathM
-    if engine_class is BranchM:
-        return CompiledBranchM
-    return CompiledTwigM
+    return engine_class
 
 
 class XPathStream:
@@ -142,17 +133,16 @@ class XPathStream:
         (:mod:`repro.obs.machines`) and metric-publishing tokenizers, so
         ``repro_machine_*`` and ``repro_tokenizer_*`` families populate.
         When ``None`` (the default) the plain classes run — the hot
-        loops contain no metrics code at all.  Compiled engines publish
-        the ``repro_compile_*`` family instead of per-operation counts
-        (the operations they would count are exactly what compilation
-        folds away).
+        loops contain no metrics code at all.  The lazy-DFA engine
+        (``compiled=True`` on a predicate-free query) publishes the
+        ``repro_compile_*`` family instead.
     compiled:
-        Run the query-specialized compilation tier
-        (:mod:`repro.compile`): predicate-free queries evaluate on the
-        lazy-DFA front-end (``engine_name`` ``"dfa"``), everything else
-        on machines with generated straight-line dispatch.  Matches,
-        order, errors, limits and snapshots are identical to the
-        interpreted engines.
+        Run automatically-selected PathM queries on the lazy-DFA
+        front-end (:mod:`repro.compile`, ``engine_name`` ``"dfa"``),
+        whose push pipeline also engages the turbo scanner.  Every
+        other query runs the same engine as with ``compiled=False``.
+        Matches, order, errors, limits and snapshots are identical to
+        the interpreted engines.
     state_cap:
         Optional override for the lazy DFA's materialised-state ceiling
         (default :data:`repro.compile.DEFAULT_STATE_CAP`); past it the
@@ -163,9 +153,7 @@ class XPathStream:
         set, earlier and possibly reordered emissions; see
         docs/LATENCY.md).  Predicate-free queries on PathM/DFA engines
         already emit at the earliest point, so the mode is a no-op for
-        them.  Earliest-mode TwigM/BranchM under ``compiled=True`` run
-        the interpreted transitions (the provability analysis needs the
-        state the generated code folds away).
+        them.
     """
 
     def __init__(
@@ -216,10 +204,10 @@ class XPathStream:
             engine_class = select_compiled_engine_class(
                 engine_class, explicit=engine is not None
             )
-            kwargs = {"metrics": metrics, **emission_kwargs}
-            if state_cap is not None and engine_class.machine_name == "dfa":
-                kwargs["state_cap"] = state_cap
-            self.engine = engine_class(query, sink=sink, limits=limits, **kwargs)
+        if engine_class.machine_name == "dfa":
+            kwargs = {} if state_cap is None else {"state_cap": state_cap}
+            self.engine = engine_class(query, sink=sink, limits=limits,
+                                       metrics=metrics, **kwargs)
         elif metrics is None:
             self.engine = engine_class(query, sink=sink, limits=limits,
                                        **emission_kwargs)

@@ -121,18 +121,17 @@ class MultiQueryEngine:
         event counts, query and unit gauges, the router hit ratio, and
         per-query emitted counts (labelled ``query="name"``).
     compiled:
-        Run every unit on the :mod:`repro.compile` engine tiers:
-        predicate-free path queries get the lazy-DFA front-end
-        (:class:`~repro.compile.dfa.DfaPathM` — shared across deduped
-        registrations like any unit, riding the router's wants-all path
-        because the DFA's depth tracking needs every element event),
-        everything else gets generated straight-line dispatch.  Results
-        are bit-for-bit identical to the interpreted engines.  When
-        every registered unit is turbo-safe, the push path
-        (:meth:`feed_text_push` / :meth:`evaluate_push`) additionally
-        engages the query-aware turbo scanner
-        (:mod:`repro.compile.scan`); eligibility is re-checked per
-        chunk, keyed on the router's version counter.
+        Run predicate-free path units on the :mod:`repro.compile`
+        lazy-DFA front-end (:class:`~repro.compile.dfa.DfaPathM` —
+        shared across deduped registrations like any unit, riding the
+        router's wants-all path because the DFA's depth tracking needs
+        every element event); every other unit runs the same engine as
+        with ``compiled=False``.  Results are bit-for-bit identical to
+        the interpreted engines.  When every registered unit is
+        turbo-safe, the push path (:meth:`feed_text_push` /
+        :meth:`evaluate_push`) additionally engages the query-aware
+        turbo scanner (:mod:`repro.compile.scan`); eligibility is
+        re-checked per chunk, keyed on the router's version counter.
     """
 
     def __init__(

@@ -94,10 +94,8 @@ class EvalUnit:
         self.sink = MultiplexSink()
         if tracker is not None:
             # Candidate-lifetime tracking is a TwigM capability; fragment
-            # consumers (repro.transform) force the full machine, and the
-            # tracker hooks live on the interpreted one.
+            # consumers (repro.transform) force the full machine.
             engine_name = "twigm"
-            compiled = False
         if engine_name is None:
             engine_class = select_engine_class(tree)
         else:
@@ -118,12 +116,9 @@ class EvalUnit:
                 # Emissions flow through the probe so it can pair each
                 # result's provable point with its emission point.
                 engine_sink = lag_probe.wrap_sink(self.sink)
-        if compiled:
-            # Compiled engines carry their own instrumentation hooks
-            # (the ``repro_compile_*`` families) instead of the generic
-            # observed wrappers.
+        if engine_class.machine_name == "dfa":
             self.engine = engine_class(tree, sink=engine_sink, limits=limits,
-                                       metrics=metrics, **kwargs)
+                                       metrics=metrics)
         elif metrics is None:
             self.engine = engine_class(tree, sink=engine_sink, limits=limits,
                                        **kwargs)
@@ -264,8 +259,9 @@ class QueryRegistry:
         ``tracker`` attaches a :class:`~repro.core.twigm.CandidateTracker`
         to the unit's machine (forcing TwigM and a dedicated unit — a
         tracker observes exactly one consumer's candidate lifetimes).
-        ``compiled`` selects the :mod:`repro.compile` engine tiers for
-        any unit this call creates (joined units already have theirs).
+        ``compiled`` selects the :mod:`repro.compile` lazy-DFA engine for
+        any predicate-free unit this call creates (joined units already
+        have theirs).
         """
         if name in self._registrations:
             raise ValueError(f"duplicate query name {name!r}")

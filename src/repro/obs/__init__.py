@@ -12,9 +12,8 @@ every layer of the system:
   ``about:tracing`` / Perfetto.
 * :mod:`repro.obs.machines` — :class:`ObsPathM` / :class:`ObsBranchM` /
   :class:`ObsTwigM`, the production engines with per-operation counters
-  (pushes, pops, edge checks, peak live stack entries — generalizing the
-  ablation-only counters that used to live in
-  :mod:`repro.core.instrument`).
+  (pushes, pops, edge checks, peak live stack entries — the operations
+  Theorem 4.4 bounds).
 * :mod:`repro.obs.stats` — the ``python -m repro stats`` runner: one
   evaluation with every metric family populated, plus per-chunk
   parse → route+dispatch → emit trace spans.

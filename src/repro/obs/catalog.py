@@ -79,8 +79,7 @@ METRIC_FAMILIES: dict[str, str] = {
     "repro_transform_output_events_total": "repro.transform.rewrite",
     "repro_transform_output_bytes_total": "repro.transform.rewrite",
     "repro_transform_rules_fired_total": "repro.transform.rewrite",
-    # -- compiled tiers --------------------------------------------------
-    "repro_compile_codegen_total": "repro.compile",
+    # -- lazy-DFA tier ---------------------------------------------------
     "repro_compile_fallbacks_total": "repro.compile",
     "repro_compile_hit_ratio": "repro.compile",
     "repro_compile_dfa_states": "repro.compile",

@@ -20,10 +20,8 @@ module counts the actual machine operations on the production engines:
 subclasses of the production engines that recompute the transition
 functions with the counters inline.  They preserve *every* production
 behaviour — resource limits, candidate accounting, value-test text
-buffers, candidate trackers, checkpointing — unlike the retired
-ablation-only clone in :mod:`repro.core.instrument` (which silently
-broke value tests and ignored limits).  They are separate classes so
-the uninstrumented engines pay nothing: observability is opt-in by
+buffers, candidate trackers, checkpointing.  They are separate classes
+so the uninstrumented engines pay nothing: observability is opt-in by
 construction, not by branching.
 
 Counts accumulate for the lifetime of the engine — :meth:`reset` clears

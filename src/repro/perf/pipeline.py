@@ -24,7 +24,7 @@ class PushPipeline:
 
     Parameters mirror :class:`~repro.core.processor.XPathStream`
     (including ``compiled=``, which selects the :mod:`repro.compile`
-    tiers *and* lets eligible runs use the query-aware turbo scanner);
+    lazy DFA *and* lets eligible runs use the query-aware turbo scanner);
     the extra ``chunk_size`` sets how much text each scanner call sees
     when the source is a file (bigger chunks amortise the regex scan's
     per-call overhead; the default matches the tokenizer's).

@@ -1,11 +1,11 @@
 """Differential suite for the compilation tiers (``repro.compile``).
 
 The contract under test is the ISSUE-9 acceptance bar: for every query
-class the compiled tiers (lazy-DFA front-end, generated dispatch, turbo
-scanner) must be **bit-for-bit** equivalent to the interpreted machines
-— same solution ids, same order, same snapshots — across 200+ seeded
-documents, mid-stream checkpointing, state-cap fallback, and multiq
-live add/remove.
+class the compiled tier (lazy-DFA front-end plus turbo scanner) must be
+**bit-for-bit** equivalent to the interpreted machines — same solution
+ids, same order, same snapshots — across 200+ seeded documents,
+mid-stream checkpointing, state-cap fallback, and multiq live
+add/remove.
 
 Documents are produced by a deterministic seeded generator (no
 Hypothesis shrinking here: the point is breadth at a fixed, replayable
@@ -128,9 +128,9 @@ def test_corpus_exercises_slow_steps():
 def test_every_tier_matches_reference(seed):
     doc = make_document(seed)
     cases = (
-        ("//a//b", "pathm"),   # explicit pathm + compiled -> CompiledPathM
+        ("//a//b", "pathm"),   # explicit pathm + compiled -> interpreted PathM
         ("//a//b", "dfa"),     # explicit DFA front-end
-        ("//a[b]/c", None),    # auto -> CompiledTwigM under compiled=True
+        ("//a[b]/c", None),    # auto -> interpreted TwigM under compiled=True
     )
     for query, engine in cases:
         reference = XPathStream(query).evaluate(doc)

@@ -2,27 +2,28 @@
 
 Complements the differential corpus (``test_compile_equivalence.py``)
 with white-box checks: NFA/subset-construction algebra, lazy-DFA cache
-behaviour and counters, state-cap and misalignment fallbacks, codegen
-bookkeeping, turbo-scanner slow-path handling, and the
-``repro_compile_*`` metrics families.
+behaviour and counters, state-cap and misalignment fallbacks, engine
+selection under ``compiled=True``, turbo-scanner slow-path handling, and
+the ``repro_compile_*`` metrics families.
 """
 
 import pytest
 
 from repro.compile import (
     DEFAULT_STATE_CAP,
-    CompiledBranchM,
-    CompiledPathM,
-    CompiledTwigM,
     DfaPathM,
     LazyDfa,
     compile_publisher,
     subset_step,
     trunk_steps,
 )
+from repro.core.branchm import BranchM
 from repro.core.pathm import PathM
 from repro.core.processor import XPathStream
+from repro.core.twigm import TwigM
 from repro.errors import UnsupportedQueryError
+from repro.multiq.engine import MultiQueryEngine
+from repro.obs.machines import ObsBranchM, ObsPathM, ObsTwigM
 from repro.obs.metrics import MetricsRegistry
 from repro.xpath.querytree import compile_query
 
@@ -143,34 +144,42 @@ class TestDfaPathM:
         assert fresh.results == [2]
 
 
-# -- generated dispatch (codegen) --------------------------------------------
-
-
-class TestCodegen:
-    def test_compiled_classes_report_base_engine_names(self):
-        assert CompiledPathM.machine_name == "pathm"
-        assert CompiledBranchM.machine_name == "branchm"
-        assert CompiledTwigM.machine_name == "twigm"
-
-    def test_compiled_pathm_matches(self):
-        assert _drive(CompiledPathM("//a/b")).results == \
-            _drive(PathM("//a/b")).results
-
-    def test_tracker_rejected_on_compiled_twigm(self):
-        class Tracker:
-            pass
-
-        with pytest.raises(ValueError):
-            CompiledTwigM("//a[b]", tracker=Tracker())
-
-    def test_codegen_counter_published(self):
-        registry = MetricsRegistry()
-        CompiledPathM("//a/b", metrics=registry)
-        publisher = compile_publisher(registry)
-        assert publisher._codegen.get(engine="pathm") > 0
-
-
 # -- engine selection through XPathStream ------------------------------------
+
+#: (query, engine=, metrics=?) -> the class ``compiled=True`` builds.
+SELECTION = [
+    ("//a/b", None, False, DfaPathM),
+    ("//a/b", None, True, DfaPathM),
+    ("//a/b", "pathm", False, PathM),
+    ("//a/b", "pathm", True, ObsPathM),
+    ("/a[b]/c", None, False, BranchM),
+    ("/a[b]/c", None, True, ObsBranchM),
+    ("//a[b]/c", None, False, TwigM),
+    ("//a[b]/c", None, True, ObsTwigM),
+]
+
+#: ``XPathStream("//a[b]/c", compiled=True).snapshot()`` taken by the
+#: release whose compiled tier generated TwigM dispatch, cut inside the
+#: second ``a`` (candidate 9 waits on its ``b``).  Restoring it must
+#: finish with that release's ids.
+LEGACY_COMPILED_SNAPSHOT = {
+    "version": 1, "query": "//a[b]/c", "engine": "twigm", "compiled": True,
+    "emission": "default", "policy": "strict", "limits": None,
+    "tokenizer": {
+        "version": 1, "buffer": "", "text_parts": [], "text_len": 0,
+        "stack": ["r", "a"], "next_id": 10, "seen_root": True,
+        "closed": False, "line": 1, "column": 41, "skip_whitespace": True,
+        "policy": "strict", "ignore_depth": 0, "event_count": 16,
+        "diagnostic_count": 0, "bytes_fed": 40,
+    },
+    "machine": {
+        "stacks": [[[2, 1, [9], None, 0]], [], []],
+        "candidate_count": 1, "event_count": 0,
+    },
+    "sink": {"results": [4, 7]},
+}
+LEGACY_DOC = ("<r><a><b/><c/><x><c/></x><c/></a>"
+              "<a><c/><b/><c/></a><a><c/></a></r>")
 
 
 class TestSelection:
@@ -180,16 +189,32 @@ class TestSelection:
     def test_explicit_pathm_keeps_pathm_name(self):
         stream = XPathStream("//a/b", engine="pathm", compiled=True)
         assert stream.engine_name == "pathm"
-        assert type(stream.push_handler()).__name__ == "CompiledPathM"
+        assert stream.snapshot()["engine"] == "pathm"
 
-    def test_predicates_get_generated_twigm(self):
-        stream = XPathStream("//a[b]/c", compiled=True)
-        assert type(stream.push_handler()).__name__ == "CompiledTwigM"
+    @pytest.mark.parametrize("emission", ["default", "earliest"])
+    @pytest.mark.parametrize("query,engine,metered,expected", SELECTION)
+    def test_compiled_selection(self, query, engine, metered, expected,
+                                emission):
+        def build(**kwargs):
+            metrics = MetricsRegistry() if metered else None
+            return XPathStream(query, engine=engine, metrics=metrics,
+                               emission=emission, **kwargs)
+
+        assert type(build(compiled=True).engine) is expected
+        if expected is not DfaPathM:
+            # Only the lazy DFA differs from the interpreted selection.
+            assert type(build().engine) is expected
 
     def test_engine_dfa_implies_compiled(self):
         stream = XPathStream("//a/b", engine="dfa")
         assert stream._compiled
         assert stream.snapshot()["engine"] == "dfa"
+
+    def test_legacy_compiled_snapshot_resumes(self):
+        stream = XPathStream.restore(LEGACY_COMPILED_SNAPSHOT)
+        assert type(stream.engine) is TwigM
+        stream.feed_text(LEGACY_DOC[40:])  # the snapshot's bytes_fed
+        assert stream.close() == [4, 7, 9, 11]
 
 
 # -- turbo scanner slow paths ------------------------------------------------
@@ -279,6 +304,25 @@ class TestCompileMetrics:
     def test_publisher_is_per_registry_singleton(self):
         registry = MetricsRegistry()
         assert compile_publisher(registry) is compile_publisher(registry)
+
+    def _machine_events(self, registry):
+        family = registry.snapshot()["repro_machine_events_total"]
+        return sum(sample["value"] for sample in family["values"])
+
+    def test_predicated_compiled_publishes_machine_counts(self):
+        registry = MetricsRegistry()
+        stream = XPathStream("//a[b]/c", compiled=True, metrics=registry)
+        stream.evaluate("<a><b/><c/></a>")
+        assert self._machine_events(registry) == 6
+        assert getattr(registry, "_compile_publisher", None) is None
+
+    def test_predicated_compiled_multiq_publishes_machine_counts(self):
+        registry = MetricsRegistry()
+        engine = MultiQueryEngine({"q": "//a[b]/c"}, compiled=True,
+                                  metrics=registry)
+        engine.evaluate("<a><b/><c/></a>")
+        assert self._machine_events(registry) > 0
+        assert getattr(registry, "_compile_publisher", None) is None
 
     def test_zero_cost_when_off(self):
         # Without a registry the engine must not import the obs layer.

@@ -1,14 +1,14 @@
-"""Tests for the instrumented engine (repro.core.instrument) — the
-empirical side of Theorem 4.4 and the figure 1 space claim."""
+"""Operation counts of the instrumented TwigM (repro.obs.machines.ObsTwigM)
+— the empirical side of Theorem 4.4 and the figure 1 space claim."""
 
-from repro.core.instrument import InstrumentedTwigM
 from repro.core.twigm import TwigM
+from repro.obs.machines import ObsTwigM
 from repro.stream.tokenizer import parse_string
 from tests.conftest import chain_c1_id, chain_xml
 
 
 def run_counts(query, xml):
-    machine = InstrumentedTwigM(query)
+    machine = ObsTwigM(query)
     machine.feed(parse_string(xml))
     return machine
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.branchm import BranchM
-from repro.core.instrument import InstrumentedTwigM
 from repro.core.pathm import PathM
 from repro.core.processor import XPathStream
 from repro.core.results import CollectingSink
@@ -84,7 +83,6 @@ def test_operation_counts_round_trip():
 def test_machine_name_shared_with_plain():
     for plain_class, obs_class in PAIRS:
         assert obs_class.machine_name == plain_class.machine_name
-    assert InstrumentedTwigM.machine_name == "twigm"
     assert OBS_ENGINES_BY_NAME["twigm"] is ObsTwigM
 
 
@@ -139,10 +137,3 @@ def test_obs_snapshot_restores_onto_plain_engine():
     resumed.close()
     assert list(resumed.results) == [1]
 
-
-def test_instrumented_twigm_keeps_historical_constructor():
-    sink = CollectingSink()
-    engine = InstrumentedTwigM("//a[b]", sink)
-    feed(engine, "<a><b/></a>")
-    assert engine.counts.events == 4
-    assert list(sink.results) == [1]
