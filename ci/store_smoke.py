@@ -1,6 +1,6 @@
-"""CI smoke: the durable ingest log under crash, replay, and skip gates.
+"""CI smoke: the durable ingest log under crash, replay, skip and block gates.
 
-Three gates over one XMark recording, each a hard failure:
+Four gates over XMark recordings, each a hard failure:
 
 1. **Crash recovery.**  Ingest with an engine attached, then simulate a
    SIGKILL mid-segment by truncating the active segment at an arbitrary
@@ -17,8 +17,15 @@ Three gates over one XMark recording, each a hard failure:
    the sealed segments while returning results identical to an
    unskipped replay.
 
+4. **Event blocks.**  A default ``sync="none"`` ingest may write at most
+   one event frame per checkpoint, per segment and per ``BLOCK_BYTES``
+   of log (deterministic), and its time may be at most
+   ``INGEST_VS_PUSH_CEILING`` times that of engine-only push evaluation
+   of the same queries (best of 3 each, same process).
+
 The run is recorded as ``BENCH_store.json`` (events/s for ingest and
-replay, skip ratio, recovery accounting) for trajectory tracking.
+replay, skip ratio, recovery accounting, event frames, log bytes and
+the ingest/push ratio) for trajectory tracking.
 
 Usage: PYTHONPATH=src python ci/store_smoke.py [scale]
 """
@@ -35,6 +42,7 @@ import time
 from repro.datasets.xmark import xmark_events
 from repro.multiq.engine import MultiQueryEngine
 from repro.store import EventLogReader, EventLogWriter, ReplayStats, ingest, replay
+from repro.store.log import BLOCK_BYTES, REC_EVENT, REC_EVENTS, _scan_frames
 from repro.store.replay import _Tee
 from repro.stream.tokenizer import XmlTokenizer
 from repro.stream.writer import events_to_string
@@ -52,6 +60,10 @@ QUERIES = {
 SELECTIVE = "//person/emailaddress"
 
 SKIP_FLOOR = 0.50
+
+#: Ingest (events encoded into blocks, checkpoints embedding snapshots)
+#: may cost at most this many times engine-only push evaluation.
+INGEST_VS_PUSH_CEILING = 2.5
 
 
 def fail(message: str) -> "int":
@@ -199,6 +211,60 @@ def skip_gate(store: str, text: str, bench: dict) -> "int | None":
     return None
 
 
+def _seconds(run) -> float:
+    started = time.perf_counter()
+    run()
+    return time.perf_counter() - started
+
+
+def block_gate(workdir: str, text: str, bench: dict) -> "int | None":
+    """Frames per block boundary (exact) and ingest cost against push."""
+    store = os.path.join(workdir, "blocks")
+
+    def run_ingest():
+        shutil.rmtree(store, ignore_errors=True)
+        return ingest(text, store, queries=dict(QUERIES), sync="none")
+
+    result = run_ingest()
+    frames = 0
+    log_bytes = 0
+    for segment in EventLogReader(store).segments():
+        path = os.path.join(store, segment.file)
+        log_bytes += os.path.getsize(path)
+        for frame, _offset in _scan_frames(path):
+            if frame.type in (REC_EVENTS, REC_EVENT):
+                frames += 1
+    bound = len(result.checkpoints) + result.segments + -(-log_bytes // BLOCK_BYTES)
+    if frames > bound:
+        return fail(
+            f"{frames} event frames for {result.events} events; at most {bound} "
+            f"(checkpoints + segments + log bytes / {BLOCK_BYTES})"
+        )
+    # Best of 3 each, alternated so a busy host slows both sides alike.
+    ingest_times, push_times = [], []
+    for _ in range(3):
+        ingest_times.append(_seconds(run_ingest))
+        push_times.append(_seconds(
+            lambda: MultiQueryEngine(dict(QUERIES)).evaluate_push(text)
+        ))
+    ingest_s, push_s = min(ingest_times), min(push_times)
+    ratio = ingest_s / push_s
+    bench["blocks"] = {
+        "event_frames": frames,
+        "frame_bound": bound,
+        "log_bytes": log_bytes,
+        "ingest_s": round(ingest_s, 4),
+        "push_s": round(push_s, 4),
+        "ingest_vs_push": round(ratio, 2),
+    }
+    if ratio > INGEST_VS_PUSH_CEILING:
+        return fail(
+            f"ingest takes {ratio:.2f}x engine-only push "
+            f"(ceiling {INGEST_VS_PUSH_CEILING}x)"
+        )
+    return None
+
+
 def main(scale: float) -> int:
     text = events_to_string(xmark_events(scale))
     pull_reference, push_reference = live_reference(text)
@@ -259,6 +325,17 @@ def main(scale: float) -> int:
             f"skip gate ok: {skip['segments_skipped']}/{skip['segments_total']} "
             f"segments skipped (ratio {skip['ratio']:.2f} >= {SKIP_FLOOR:.2f}), "
             f"results identical"
+        )
+
+        code = block_gate(workdir, text, bench)
+        if code is not None:
+            return code
+        blocks = bench["blocks"]
+        print(
+            f"block gate ok: {blocks['event_frames']} event frames "
+            f"(<= {blocks['frame_bound']}), {blocks['log_bytes']} log bytes, "
+            f"ingest {blocks['ingest_vs_push']:.2f}x push "
+            f"(<= {INGEST_VS_PUSH_CEILING})"
         )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

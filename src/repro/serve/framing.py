@@ -57,6 +57,9 @@ DEFAULT_MAX_FRAME = 4 * 1024 * 1024
 
 _HEADER = struct.Struct("!IBI")
 _OFFSET = struct.Struct("!Q")
+#: CRC32 of each possible type byte: the running value a frame's payload
+#: CRC continues from, so type + payload is never concatenated.
+_TYPE_CRC = tuple(zlib.crc32(bytes((code,))) for code in range(256))
 
 
 class FrameError(ReproError):
@@ -141,8 +144,7 @@ class Frame:
 
 def encode_frame(type: int, payload: bytes = b"") -> bytes:
     """Serialize one frame (header + payload) to wire bytes."""
-    crc = zlib.crc32(bytes((type,)) + payload)
-    return _HEADER.pack(len(payload), type, crc) + payload
+    return _HEADER.pack(len(payload), type, zlib.crc32(payload, _TYPE_CRC[type])) + payload
 
 
 def encode_json(type: int, payload: dict) -> bytes:
@@ -213,31 +215,43 @@ class FrameDecoder:
         """
         if self._failure is not None:
             raise self._failure
-        self._buffer += data
+        if self._buffer:
+            self._buffer += data
+            data = self._buffer
         frames: list[Frame] = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                return frames
-            length, type_code, crc = _HEADER.unpack_from(self._buffer)
-            if length > self.max_frame:
-                return self._fail(frames, FrameError(
-                    f"declared frame length {length} exceeds limit {self.max_frame}"
-                ))
-            end = _HEADER.size + length
-            if len(self._buffer) < end:
-                return frames
-            payload = bytes(self._buffer[_HEADER.size:end])
-            if zlib.crc32(bytes((type_code,)) + payload) != crc:
-                return self._fail(frames, FrameError(
-                    f"CRC mismatch on {FrameType.NAMES.get(type_code, type_code)} "
-                    f"frame ({length}B payload)"
-                ))
-            del self._buffer[:end]
-            frames.append(Frame(type_code, payload))
+        start = 0
+        size = len(data)
+        header = _HEADER.size
+        max_frame = self.max_frame
+        # Consume by offset and keep only the unconsumed tail at the end:
+        # no per-frame memmove of the rest of the buffer.
+        with memoryview(data) as view:
+            while size - start >= header:
+                length, type_code, crc = _HEADER.unpack_from(view, start)
+                if length > max_frame:
+                    return self._fail(frames, FrameError(
+                        f"declared frame length {length} exceeds limit {max_frame}"
+                    ))
+                end = start + header + length
+                if end > size:
+                    break
+                payload = view[start + header:end].tobytes()
+                if zlib.crc32(payload, _TYPE_CRC[type_code]) != crc:
+                    return self._fail(frames, FrameError(
+                        f"CRC mismatch on {FrameType.NAMES.get(type_code, type_code)} "
+                        f"frame ({length}B payload)"
+                    ))
+                frames.append(Frame(type_code, payload))
+                start = end
+            if start:
+                self._buffer = bytearray(view[start:])
+            elif data is not self._buffer:
+                self._buffer = bytearray(data)
+        return frames
 
     def _fail(self, frames: "list[Frame]", error: FrameError) -> "list[Frame]":
         self._failure = error
-        self._buffer.clear()
+        self._buffer = bytearray()
         if frames:
             return frames
         raise error

@@ -17,8 +17,15 @@ Record types:
 * ``REC_SEGMENT`` — JSON segment header (sequence number, base event
   index); always the first frame of a segment, lets crash recovery
   rebuild positions from the file alone.
-* ``REC_EVENT`` — one modified-SAX event, binary-encoded by
-  :mod:`repro.stream.codec`.
+* ``REC_EVENTS`` — a block of modified-SAX events: a varint event count,
+  then that many records binary-encoded by :mod:`repro.stream.codec`.
+  The writer encodes events straight into the open block and writes it
+  as one frame wherever it hands data to the OS — before a checkpoint,
+  at a sync point, on rotation, :meth:`EventLogWriter.flush` and close,
+  and before the payload would pass :data:`BLOCK_BYTES` — so the
+  per-event cost is the encoding, not a CRC, a header and a ``write``.
+* ``REC_EVENT`` — one event per frame: the layout of version-1 stores,
+  still read so they replay.
 * ``REC_CHECKPOINT`` — JSON: checkpoint id, the event index it covers,
   and (optionally) an embedded engine snapshot (the existing versioned
   :meth:`~repro.multiq.engine.MultiQueryEngine.snapshot` /
@@ -34,19 +41,39 @@ contain a query's alphabet (:mod:`repro.store.index`).  The active
 segment is deliberately *not* trusted from the manifest: readers and a
 restarted writer re-scan it frame by frame, truncating anything after
 the last CRC-valid record, so a crash mid-write loses at most the torn
-tail and never corrupts earlier history.
+block and never corrupts earlier history.  A process crash also loses
+the events of the block still open in memory.  A record type this
+reader does not know raises in a sealed segment and ends the scan of
+the active one; the manifest version (2) makes older code refuse a
+block-framed store instead of replaying it as empty.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import ReproError
-from repro.serve.framing import DEFAULT_MAX_FRAME, Frame, FrameDecoder, FrameError, encode_frame
-from repro.stream.codec import decode_event, encode_event
+from repro.serve.framing import (
+    DEFAULT_MAX_FRAME,
+    Frame,
+    FrameDecoder,
+    FrameError,
+    encode_frame,
+)
+from repro.stream.codec import (
+    CodecError,
+    block_count,
+    block_header,
+    encode_chars_into,
+    encode_end_into,
+    encode_start_into,
+    iter_block,
+    text_field,
+)
 from repro.stream.events import Characters, EndElement, Event, EventHandler, StartElement
 from repro.stream.recovery import ResourceLimits
 from repro.store.sync import SyncPolicy
@@ -63,6 +90,7 @@ __all__ = [
     "STORE_MANIFEST_VERSION",
     "REC_SEGMENT",
     "REC_EVENT",
+    "REC_EVENTS",
     "REC_CHECKPOINT",
     "REC_SESSION",
     "REC_SESSION_TOMB",
@@ -75,12 +103,23 @@ REC_EVENT = 33
 REC_CHECKPOINT = 34
 REC_SESSION = 35
 REC_SESSION_TOMB = 36
+REC_EVENTS = 37
 
 MANIFEST_NAME = "MANIFEST.json"
-STORE_MANIFEST_VERSION = 1
+#: Version 2 stores write ``REC_EVENTS`` blocks; version 1 stores (one
+#: ``REC_EVENT`` frame per event) are still read, and a writer reopening
+#: one rewrites its manifest as version 2.
+STORE_MANIFEST_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 
 #: Default events per segment before rotation.
 DEFAULT_SEGMENT_EVENTS = 4096
+
+#: An event block is closed before its payload would pass this many bytes.
+BLOCK_BYTES = 64 * 1024
+
+#: Room left in a block payload for its event-count varint.
+_COUNT_ROOM = 5
 
 
 class StoreError(ReproError):
@@ -233,6 +272,9 @@ class _Manifest:
     """The store's atomic segment index."""
 
     def __init__(self) -> None:
+        #: The version the manifest was loaded with (saves always write
+        #: :data:`STORE_MANIFEST_VERSION`).
+        self.version = STORE_MANIFEST_VERSION
         self.next_segment = 1
         self.active: "str | None" = None
         self.compacted_before_event = 0
@@ -259,12 +301,13 @@ class _Manifest:
         except json.JSONDecodeError as exc:
             raise StoreError(f"corrupt store manifest {path!r}: {exc}") from exc
         version = data.get("version")
-        if version != STORE_MANIFEST_VERSION:
+        if version not in _READABLE_VERSIONS:
             raise StoreError(
                 f"unsupported store manifest version {version!r} "
-                f"(expected {STORE_MANIFEST_VERSION})"
+                f"(expected one of {_READABLE_VERSIONS})"
             )
         manifest = cls()
+        manifest.version = version
         try:
             manifest.next_segment = int(data["next_segment"])
             manifest.next_checkpoint = int(data.get("next_checkpoint", 1))
@@ -290,6 +333,7 @@ class _Manifest:
                 sync.sync_file(handle)
         os.replace(tmp, path)
         sync.sync_dir(directory)
+        self.version = STORE_MANIFEST_VERSION
 
 
 class EventLogWriter(EventHandler):
@@ -300,6 +344,11 @@ class EventLogWriter(EventHandler):
     accepts pull-mode :class:`~repro.stream.events.Event` objects via
     :meth:`append`.  Structure:
 
+    * events are encoded into an in-memory **block**, written as one
+      ``REC_EVENTS`` frame wherever the writer hands data to the OS: before
+      a checkpoint, at a sync point, on rotation, :meth:`flush` and
+      :meth:`close`, and before the block's payload would pass
+      :data:`BLOCK_BYTES` (or ``max_frame``);
     * events land in the **active segment**; after ``segment_events``
       events the segment is sealed — its structural summary enters the
       manifest atomically — and a fresh segment opens;
@@ -308,7 +357,9 @@ class EventLogWriter(EventHandler):
       (:meth:`attach`), its versioned snapshot is embedded so replay can
       resume evaluation there instead of from document start;
     * durability follows ``sync`` (a :class:`~repro.store.sync.SyncPolicy`
-      or its string form), shared with the serving layer's spool.
+      or its string form), shared with the serving layer's spool.  Its
+      cadence counts events: ``always`` writes and syncs every event as
+      its own block, ``interval:N`` closes a block and syncs every N.
 
     Reopening a writer on an existing store recovers first: the active
     segment is scanned, any torn tail is truncated, and appending
@@ -327,6 +378,10 @@ class EventLogWriter(EventHandler):
     ):
         if segment_events < 1:
             raise StoreError(f"segment_events must be >= 1, got {segment_events}")
+        if checkpoint_interval < 0:
+            raise StoreError(
+                f"checkpoint_interval must be >= 0, got {checkpoint_interval}"
+            )
         self.path = path
         self.segment_events = segment_events
         self.checkpoint_interval = checkpoint_interval
@@ -337,12 +392,26 @@ class EventLogWriter(EventHandler):
         self._engine_kind: "str | None" = None
         self._file = None
         self._segment: "SegmentInfo | None" = None
-        self._writes_since_sync = 0
         self._closed = False
-        #: Total events durably appended (the replay coordinate system).
+        #: Total events appended, buffered block included (the replay
+        #: coordinate system; a checkpoint covers exactly this many).
         self.position = 0
         #: Bytes truncated from a torn tail during recovery (0 = clean).
         self.recovered_tail_bytes = 0
+        self._block_limit = min(BLOCK_BYTES, max_frame) - _COUNT_ROOM
+        # The open block: its encoded records and the position it starts at.
+        self._block = bytearray()
+        self._block_start = 0
+        self._synced_at = 0
+        # The position at which the next block must close (checkpoint,
+        # sync point or rotation); -1 once closed.
+        self._next_boundary = 0
+        # Per-segment: tag -> its encoded field, and the level range and
+        # text flag not yet folded into the SegmentInfo.
+        self._tag_fields: dict[str, bytes] = {}
+        self._lo = sys.maxsize
+        self._hi = -sys.maxsize
+        self._has_text = False
         os.makedirs(path, exist_ok=True)
         if metrics is not None:
             self._bind_metrics(metrics)
@@ -350,6 +419,8 @@ class EventLogWriter(EventHandler):
         if os.path.exists(manifest_path):
             self._manifest = _Manifest.load(manifest_path)
             self._recover()
+            if self._manifest.version != STORE_MANIFEST_VERSION:
+                self._manifest.save(self.path, self.sync)
         else:
             self._manifest = _Manifest()
             self._open_segment()
@@ -417,13 +488,13 @@ class EventLogWriter(EventHandler):
             self.recovered_tail_bytes = os.path.getsize(active_path) - good_bytes
             with open(active_path, "r+b") as handle:
                 handle.truncate(good_bytes)
-        self._segment = segment
         self.position = segment.base_event + segment.events
         for checkpoint in segment.checkpoints:
             manifest.next_checkpoint = max(
                 manifest.next_checkpoint, int(checkpoint["id"]) + 1
             )
         self._file = open(active_path, "ab")
+        self._begin_segment(segment)
 
     def _open_segment(self, reuse_name: "str | None" = None, truncate: bool = False) -> None:
         manifest = self._manifest
@@ -434,9 +505,6 @@ class EventLogWriter(EventHandler):
         else:
             name = reuse_name
             sequence = manifest.next_segment - 1
-        self._segment = SegmentInfo(
-            file=name, sequence=sequence, base_event=self.position
-        )
         manifest.active = name
         manifest.save(self.path, self.sync)
         mode = "wb" if truncate else "xb"
@@ -446,6 +514,9 @@ class EventLogWriter(EventHandler):
             raise StoreError(
                 f"segment {name!r} already exists; is another writer live?"
             ) from None
+        self._begin_segment(
+            SegmentInfo(file=name, sequence=sequence, base_event=self.position)
+        )
         header = {
             "version": STORE_MANIFEST_VERSION,
             "segment": sequence,
@@ -455,29 +526,43 @@ class EventLogWriter(EventHandler):
         if self._metrics is not None:
             self._m_segments.set(len(manifest.segments) + 1)
 
+    def _begin_segment(self, segment: SegmentInfo) -> None:
+        """Make ``segment`` the active one and reset the per-segment state."""
+        self._segment = segment
+        self._tag_fields = {}
+        self._lo = sys.maxsize if segment.min_level is None else segment.min_level
+        self._hi = -sys.maxsize if segment.max_level is None else segment.max_level
+        self._has_text = segment.has_text
+        self._block_start = self.position
+        self._synced_at = self.position
+        self._next_boundary = self._compute_boundary()
+
     def _rotate(self) -> None:
         """Seal the active segment into the manifest; open the next one."""
         self._seal()
         self._open_segment()
 
     def _seal(self) -> None:
+        self._write_block()
         segment = self._segment
-        self.sync.sync_file(self._file)
+        self._file.flush()
+        if self.sync.kind != "none":
+            self._fsync()
         self._file.close()
         self._file = None
         segment.size = os.path.getsize(os.path.join(self.path, segment.file))
         segment.sealed = True
         self._manifest.segments.append(segment)
         self._segment = None
-        self._writes_since_sync = 0
 
     def close(self) -> None:
         """Seal the active segment and mark the store cleanly closed."""
         if self._closed:
             return
-        self._closed = True
         if self._segment is not None:
             self._seal()
+        self._closed = True
+        self._next_boundary = -1
         self._manifest.active = None
         self._manifest.save(self.path, self.sync)
 
@@ -498,56 +583,159 @@ class EventLogWriter(EventHandler):
         if self._metrics is not None:
             self._m_bytes.inc(len(data))
 
-    def _after_write(self) -> None:
-        self._writes_since_sync += 1
-        if self.sync.should_sync(self._writes_since_sync):
-            self.sync.sync_file(self._file)
-            self._writes_since_sync = 0
-            if self._metrics is not None:
-                self._m_syncs.inc()
-
-    def _note_appended(self, tag: "str | None", level: int) -> None:
-        self._segment.note_event(0, tag, level)
-        self.position += 1
+    def _emit_block(self, records, count: int) -> None:
+        """Write ``count`` encoded records as one ``REC_EVENTS`` frame."""
+        self._write_frame(REC_EVENTS, block_header(count) + records)
         if self._metrics is not None:
-            self._m_events.inc()
-        self._after_write()
-        if (
-            self.checkpoint_interval
-            and self.position % self.checkpoint_interval == 0
-        ):
+            self._m_events.inc(count)
+
+    def _write_block(self) -> None:
+        """Write the open block (if any events) and fold the segment summary."""
+        count = self.position - self._block_start
+        if count:
+            self._emit_block(self._block, count)
+            self._block = bytearray()
+            self._block_start = self.position
+        segment = self._segment
+        segment.events = self.position - segment.base_event
+        segment.has_text = self._has_text
+        if self._hi >= self._lo:
+            segment.min_level = self._lo
+            segment.max_level = self._hi
+
+    def _compute_boundary(self) -> int:
+        position = self.position
+        boundary = self._segment.base_event + self.segment_events
+        interval = self.checkpoint_interval
+        if interval:
+            boundary = min(boundary, (position // interval + 1) * interval)
+        if self.sync.every:
+            boundary = min(boundary, self._synced_at + self.sync.every)
+        return boundary
+
+    def _fsync(self) -> None:
+        self.sync.sync_file(self._file)
+        self._synced_at = self.position
+        if self._metrics is not None:
+            self._m_syncs.inc()
+
+    def _boundary(self, mark: int) -> None:
+        """Slow path after an append: the event at ``_block[mark:]`` reached
+        the next boundary position or took the block past its byte limit."""
+        if self._closed:
+            del self._block[mark:]
+            self.position -= 1
+            raise StoreError("append to a closed EventLogWriter")
+        block = self._block
+        if len(block) > self._block_limit:
+            if mark:
+                # Close the block before this event would take it past the
+                # limit; the event starts the next block.
+                self._emit_block(block[:mark], self.position - 1 - self._block_start)
+                self._block = block = block[mark:]
+                self._block_start = self.position - 1
+            if len(block) > self.max_frame - _COUNT_ROOM:
+                self._block = bytearray()
+                self.position -= 1
+                raise StoreError(
+                    f"event record of {len(block)} bytes exceeds the "
+                    f"{self.max_frame}-byte frame limit"
+                )
+        position = self.position
+        if position < self._next_boundary:
+            return
+        self._write_block()
+        if self.sync.every and position >= self._synced_at + self.sync.every:
+            self._fsync()
+        if self.checkpoint_interval and position % self.checkpoint_interval == 0:
             self.checkpoint()
-        if self._segment.events >= self.segment_events:
+        if position - self._segment.base_event >= self.segment_events:
             self._rotate()
+        else:
+            self._next_boundary = self._compute_boundary()
+
+    def _new_tag(self, tag: str) -> bytes:
+        """Cache miss: encode ``tag`` and add it to the segment's alphabet."""
+        if self._segment is None:
+            raise StoreError("append to a closed EventLogWriter")
+        field = self._tag_fields[tag] = text_field(tag)
+        self._segment.tags.add(tag)
+        return field
+
+    # Push-mode tee: the writer sits directly behind the fused scanner.
+    # Each callback encodes into the open block and, in the common case,
+    # is done after one comparison with the next boundary position.
+
+    def start_element(self, tag, level, node_id, attributes) -> None:
+        block = self._block
+        mark = len(block)
+        field = self._tag_fields.get(tag)
+        if field is None:
+            field = self._new_tag(tag)
+        try:
+            encode_start_into(block, field, level, node_id, attributes)
+        except BaseException:
+            del block[mark:]
+            raise
+        if level > self._hi:
+            self._hi = level
+        if level < self._lo:
+            self._lo = level
+        position = self.position = self.position + 1
+        if position >= self._next_boundary or len(block) > self._block_limit:
+            self._boundary(mark)
+
+    def characters(self, text, level) -> None:
+        block = self._block
+        mark = len(block)
+        try:
+            encode_chars_into(block, text, level)
+        except BaseException:
+            del block[mark:]
+            raise
+        self._has_text = True
+        if level > self._hi:
+            self._hi = level
+        if level < self._lo:
+            self._lo = level
+        position = self.position = self.position + 1
+        if position >= self._next_boundary or len(block) > self._block_limit:
+            self._boundary(mark)
+
+    def end_element(self, tag, level) -> None:
+        block = self._block
+        mark = len(block)
+        field = self._tag_fields.get(tag)
+        if field is None:
+            field = self._new_tag(tag)
+        try:
+            encode_end_into(block, field, level)
+        except BaseException:
+            del block[mark:]
+            raise
+        if level > self._hi:
+            self._hi = level
+        if level < self._lo:
+            self._lo = level
+        position = self.position = self.position + 1
+        if position >= self._next_boundary or len(block) > self._block_limit:
+            self._boundary(mark)
 
     def append(self, event: Event) -> None:
         """Append one pull-mode event object."""
-        payload = encode_event(event)
-        self._write_frame(REC_EVENT, payload)
-        if isinstance(event, Characters):
-            self._note_appended(None, event.level)
+        if isinstance(event, StartElement):
+            self.start_element(event.tag, event.level, event.node_id, event.attributes)
+        elif isinstance(event, Characters):
+            self.characters(event.text, event.level)
+        elif isinstance(event, EndElement):
+            self.end_element(event.tag, event.level)
         else:
-            self._note_appended(event.tag, event.level)
+            raise CodecError(f"cannot encode {event!r}")
 
     def extend(self, events: Iterable[Event]) -> None:
+        append = self.append
         for event in events:
-            self.append(event)
-
-    # Push-mode tee: the writer sits directly behind the fused scanner.
-
-    def start_element(self, tag, level, node_id, attributes) -> None:
-        self._write_frame(
-            REC_EVENT, encode_event(StartElement(tag, level, node_id, attributes))
-        )
-        self._note_appended(tag, level)
-
-    def characters(self, text, level) -> None:
-        self._write_frame(REC_EVENT, encode_event(Characters(text, level)))
-        self._note_appended(None, level)
-
-    def end_element(self, tag, level) -> None:
-        self._write_frame(REC_EVENT, encode_event(EndElement(tag, level)))
-        self._note_appended(tag, level)
+            append(event)
 
     # -- checkpoints ----------------------------------------------------
 
@@ -555,11 +743,15 @@ class EventLogWriter(EventHandler):
         """Write a checkpoint record now; returns its id.
 
         The record covers exactly :attr:`position` events: replay from it
-        resumes at event index ``position``.  With an attached engine the
-        snapshot is taken *here*, so it must have consumed exactly the
-        events written so far (the tee arrangement in
-        :func:`repro.store.replay.ingest` guarantees this).
+        resumes at event index ``position``.  The open block is written
+        first, so the record follows the last event it covers.  With an
+        attached engine the snapshot is taken *here*, so it must have
+        consumed exactly the events written so far (the tee arrangement
+        in :func:`repro.store.replay.ingest` guarantees this).
         """
+        if self._closed:
+            raise StoreError("append to a closed EventLogWriter")
+        self._write_block()
         manifest = self._manifest
         checkpoint_id = manifest.next_checkpoint
         manifest.next_checkpoint += 1
@@ -577,16 +769,34 @@ class EventLogWriter(EventHandler):
         # leave it buffered in-process.
         self._file.flush()
         if self.sync.kind != "none":
-            self.sync.sync_file(self._file)
-            self._writes_since_sync = 0
+            self._fsync()
+        self._next_boundary = self._compute_boundary()
         if self._metrics is not None:
             self._m_checkpoints.inc()
         return checkpoint_id
 
     def flush(self) -> None:
-        """Push buffered records to the OS (fsync only under ``always``)."""
+        """Write the open block and push buffered records to the OS (no fsync)."""
         if self._file is not None:
+            self._write_block()
             self._file.flush()
+
+
+_EVENT_RECORDS = (REC_EVENTS, REC_EVENT)
+
+
+def _block_payload(frame: Frame) -> bytes:
+    """An event frame's payload as a block (a version-1 frame is a block of one)."""
+    if frame.type == REC_EVENT:
+        return block_header(1) + frame.payload
+    return frame.payload
+
+
+def _note(segment: SegmentInfo, event: Event) -> None:
+    if isinstance(event, Characters):
+        segment.note_event(0, None, event.level)
+    else:
+        segment.note_event(0, event.tag, event.level)
 
 
 def _scan_segment(
@@ -595,7 +805,8 @@ def _scan_segment(
     """Scan one segment file; returns ``(info, good_bytes, torn)``.
 
     ``info`` is ``None`` when the file has no valid header frame.  A torn
-    or corrupt tail stops the scan; everything before it is summarised.
+    or corrupt tail, or a record of unknown type, stops the scan;
+    everything before it is summarised.
     """
     segment: "SegmentInfo | None" = None
     good = 0
@@ -611,17 +822,18 @@ def _scan_segment(
                     sequence=int(header["segment"]),
                     base_event=int(header["base_event"]),
                 )
-            elif frame.type == REC_EVENT:
-                event = decode_event(frame.payload)
-                if isinstance(event, Characters):
-                    segment.note_event(0, None, event.level)
-                else:
-                    segment.note_event(0, event.tag, event.level)
+            elif frame.type in _EVENT_RECORDS:
+                for event in iter_block(_block_payload(frame)):
+                    _note(segment, event)
             elif frame.type == REC_CHECKPOINT:
                 info = _frame_json(frame, "checkpoint")
                 segment.checkpoints.append(
                     {"id": int(info["id"]), "event": int(info["event"])}
                 )
+            else:
+                # A record this reader does not know: trust nothing after it.
+                torn = True
+                break
             good = offset
     except FrameError:
         torn = True
@@ -817,22 +1029,38 @@ class EventLogReader:
             if stats is not None:
                 stats.segments_read += 1
             index = segment.base_event
-            for frame, offset in self._segment_frames(path, segment):
-                if frame.type == REC_EVENT:
-                    if index >= start_event:
-                        event = decode_event(frame.payload, limits)
+            for frame, _offset in self._segment_frames(path, segment):
+                kind = frame.type
+                if kind in _EVENT_RECORDS:
+                    payload = _block_payload(frame)
+                    count, _first = block_count(payload)
+                    if index + count <= start_event:
+                        # Wholly before the start: step over it undecoded.
+                        if stats is not None:
+                            stats.events_positioned_past += count
+                        index += count
+                        continue
+                    skip = max(0, start_event - index)
+                    for event in iter_block(
+                        payload, limits, skip=skip, emitted=emitted
+                    ):
                         emitted += 1
-                        if limits is not None:
-                            limits.check("max_total_events", emitted)
                         if stats is not None:
                             stats.events_emitted += 1
                         yield event
-                    elif stats is not None:
-                        stats.events_positioned_past += 1
-                    index += 1
-                elif frame.type == REC_CHECKPOINT and on_checkpoint is not None:
-                    if index >= start_event:
+                    if stats is not None:
+                        stats.events_positioned_past += skip
+                    index += count
+                elif kind == REC_CHECKPOINT:
+                    if on_checkpoint is not None and index >= start_event:
                         on_checkpoint(_frame_json(frame, "checkpoint"))
+                elif kind != REC_SEGMENT:
+                    if segment.sealed:
+                        raise StoreError(
+                            f"unknown record type {kind} in sealed segment "
+                            f"{segment.file!r} (written by a newer version?)"
+                        )
+                    break  # active tail: stop where the scan stopped
             if stats is not None:
                 stats.bytes_read += segment.size
         if self._metrics is not None and emitted:

@@ -11,11 +11,18 @@ which caps ingest throughput at the disk's sync latency.
   machine crash (not just a process crash) loses nothing past the last
   acknowledged write.
 * ``interval`` — ``fsync`` every ``interval`` writes.  A machine crash
-  can lose at most ``interval`` writes; a *process* crash still loses
-  nothing (the OS holds the pages).  Deterministic (write-counted, not
-  timer-based), so tests and replay behave identically everywhere.
+  can lose at most ``interval`` writes.  Deterministic (write-counted,
+  not timer-based), so tests and replay behave identically everywhere.
 * ``none`` — never ``fsync``; rely on the OS flushing eventually.
   Maximum throughput, for rebuildable or scratch stores.
+
+A *process* crash loses what the writer still holds in memory.  For the
+ingest log that is the events since the last block boundary: the
+writer encodes events into a block and hands it to the OS only at a
+sync point, a checkpoint, a rotation, ``flush()``/``close()`` or when
+the block reaches its size limit (under ``always`` every event is its
+own block, so nothing is lost).  Whatever reached the OS survives a
+process crash without an ``fsync``.
 
 ``os.replace`` renames (atomic manifest/checkpoint swaps) are also
 covered: :meth:`SyncPolicy.sync_dir` makes the rename itself durable on
@@ -69,6 +76,15 @@ class SyncPolicy:
                 return cls(kind, int(count))
             return cls(kind)
         raise TypeError(f"cannot coerce {value!r} to a SyncPolicy")
+
+    @property
+    def every(self) -> int:
+        """Writes between syncs: 1 under ``always``, ``interval``, or 0 (never)."""
+        if self.kind == SYNC_ALWAYS:
+            return 1
+        if self.kind == SYNC_INTERVAL:
+            return self.interval
+        return 0
 
     def should_sync(self, writes_since_sync: int) -> bool:
         """Whether a writer with this many unsynced writes must fsync now."""

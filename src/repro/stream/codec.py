@@ -23,6 +23,14 @@ varint-length-prefixed UTF-8):
 
     kind=3 | level | tag
 
+The log stores events in **blocks**: one CRC frame carries a varint
+event count followed by that many records back to back
+(:func:`block_header`, :func:`iter_block`).  The writer builds blocks
+without event objects: :func:`encode_start_into`,
+:func:`encode_chars_into` and :func:`encode_end_into` append one record
+to a caller-owned ``bytearray``, and take a tag as its pre-encoded
+:func:`text_field` so a writer can cache it.
+
 Decoding accepts an optional :class:`~repro.stream.recovery.ResourceLimits`
 and enforces ``max_depth``, ``max_attributes``, ``max_attribute_length``
 and ``max_text_length`` *before* materialising the offending structure —
@@ -46,6 +54,13 @@ __all__ = [
     "encode_event",
     "decode_event",
     "event_kind",
+    "text_field",
+    "encode_start_into",
+    "encode_chars_into",
+    "encode_end_into",
+    "block_header",
+    "block_count",
+    "iter_block",
 ]
 
 #: Record kind bytes (first byte of every encoded event).
@@ -74,6 +89,8 @@ def _write_uvarint(out: bytearray, value: int) -> None:
 
 def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
     """Read a varint at ``pos``; return ``(value, next_pos)``."""
+    if pos < len(data) and data[pos] < 0x80:
+        return data[pos], pos + 1
     result = 0
     shift = 0
     length = len(data)
@@ -92,12 +109,19 @@ def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
 
 def _write_text(out: bytearray, text: str) -> None:
     raw = text.encode("utf-8")
-    _write_uvarint(out, len(raw))
+    if len(raw) < 0x80:
+        out.append(len(raw))
+    else:
+        _write_uvarint(out, len(raw))
     out += raw
 
 
 def _read_text(data: bytes, pos: int) -> tuple[str, int]:
-    length, pos = _read_uvarint(data, pos)
+    if pos < len(data) and data[pos] < 0x80:
+        length = data[pos]
+        pos += 1
+    else:
+        length, pos = _read_uvarint(data, pos)
     end = pos + length
     if end > len(data):
         raise CodecError("truncated string in event record")
@@ -107,28 +131,74 @@ def _read_text(data: bytes, pos: int) -> tuple[str, int]:
         raise CodecError(f"event record string is not valid UTF-8: {exc}") from exc
 
 
+def text_field(text: str) -> bytes:
+    """``text`` as a record field: varint byte length, then UTF-8."""
+    raw = text.encode("utf-8")
+    if len(raw) < 0x80:
+        return bytes((len(raw),)) + raw
+    out = bytearray()
+    _write_uvarint(out, len(raw))
+    return bytes(out + raw)
+
+
+def encode_start_into(
+    out: bytearray, tag_field: bytes, level: int, node_id: int, attributes
+) -> None:
+    """Append a ``StartElement`` record; ``tag_field`` is :func:`text_field` of the tag."""
+    out.append(EVENT_KIND_START)
+    if 0 <= level < 0x80:
+        out.append(level)
+    else:
+        _write_uvarint(out, level)
+    if 0 <= node_id < 0x80:
+        out.append(node_id)
+    elif 0x80 <= node_id < 0x4000:
+        out.append(node_id & 0x7F | 0x80)
+        out.append(node_id >> 7)
+    else:
+        _write_uvarint(out, node_id)
+    out += tag_field
+    if attributes:
+        _write_uvarint(out, len(attributes))
+        for name, value in attributes.items():
+            _write_text(out, name)
+            _write_text(out, value)
+    else:
+        out.append(0)
+
+
+def encode_chars_into(out: bytearray, text: str, level: int) -> None:
+    """Append a ``Characters`` record."""
+    out.append(EVENT_KIND_CHARS)
+    if 0 <= level < 0x80:
+        out.append(level)
+    else:
+        _write_uvarint(out, level)
+    _write_text(out, text)
+
+
+def encode_end_into(out: bytearray, tag_field: bytes, level: int) -> None:
+    """Append an ``EndElement`` record; ``tag_field`` is :func:`text_field` of the tag."""
+    out.append(EVENT_KIND_END)
+    if 0 <= level < 0x80:
+        out.append(level)
+    else:
+        _write_uvarint(out, level)
+    out += tag_field
+
+
 def encode_event(event: Event) -> bytes:
     """Serialize one modified-SAX event to its binary record body."""
     out = bytearray()
     cls = event.__class__
     if cls is StartElement or isinstance(event, StartElement):
-        out.append(EVENT_KIND_START)
-        _write_uvarint(out, event.level)
-        _write_uvarint(out, event.node_id)
-        _write_text(out, event.tag)
-        attributes = event.attributes
-        _write_uvarint(out, len(attributes))
-        for name, value in attributes.items():
-            _write_text(out, name)
-            _write_text(out, value)
-    elif cls is Characters or isinstance(event, Characters):
-        out.append(EVENT_KIND_CHARS)
-        _write_uvarint(out, event.level)
-        _write_text(out, event.text)
+        encode_start_into(
+            out, text_field(event.tag), event.level, event.node_id, event.attributes
+        )
     elif cls is EndElement or isinstance(event, EndElement):
-        out.append(EVENT_KIND_END)
-        _write_uvarint(out, event.level)
-        _write_text(out, event.tag)
+        encode_end_into(out, text_field(event.tag), event.level)
+    elif cls is Characters or isinstance(event, Characters):
+        encode_chars_into(out, event.text, event.level)
     else:
         raise CodecError(f"cannot encode {event!r}")
     return bytes(out)
@@ -148,12 +218,28 @@ def decode_event(data: bytes, limits: ResourceLimits | None = None) -> Event:
     tokenizer does on raw text: depth, attribute count, attribute value
     length and text length are checked before the structure is built.
     """
-    if not data:
+    event, pos = _decode_at(data, 0, limits)
+    if pos != len(data):
+        raise CodecError(
+            f"event record carries {len(data) - pos} trailing byte(s)"
+        )
+    return event
+
+
+def _decode_at(
+    data: bytes, pos: int, limits: ResourceLimits | None = None
+) -> "tuple[Event, int]":
+    """Decode the record starting at ``pos``; return ``(event, next_pos)``."""
+    if pos >= len(data):
         raise CodecError("empty event record")
-    kind = data[0]
-    pos = 1
-    if kind == EVENT_KIND_START:
+    kind = data[pos]
+    pos += 1
+    if pos < len(data) and data[pos] < 0x80:
+        level = data[pos]
+        pos += 1
+    else:
         level, pos = _read_uvarint(data, pos)
+    if kind == EVENT_KIND_START:
         node_id, pos = _read_uvarint(data, pos)
         tag, pos = _read_text(data, pos)
         if limits is not None:
@@ -168,24 +254,60 @@ def decode_event(data: bytes, limits: ResourceLimits | None = None) -> Event:
             if limits is not None:
                 limits.check("max_attribute_length", len(value))
             attributes[name] = value
-        event: Event = StartElement(tag, level, node_id, attributes)
-    elif kind == EVENT_KIND_CHARS:
-        level, pos = _read_uvarint(data, pos)
+        return StartElement(tag, level, node_id, attributes), pos
+    if kind == EVENT_KIND_END:
+        tag, pos = _read_text(data, pos)
+        return EndElement(tag, level), pos
+    if kind == EVENT_KIND_CHARS:
         # Check the *declared* length before decoding the bytes, so a
         # hostile record fails at O(limit), not O(record).
-        declared, _ = _read_uvarint(data, pos)
         if limits is not None:
+            declared, _ = _read_uvarint(data, pos)
             limits.check("max_text_length", declared)
         text, pos = _read_text(data, pos)
-        event = Characters(text, level)
-    elif kind == EVENT_KIND_END:
-        level, pos = _read_uvarint(data, pos)
-        tag, pos = _read_text(data, pos)
-        event = EndElement(tag, level)
-    else:
-        raise CodecError(f"unknown event record kind {kind}")
-    if pos != len(data):
-        raise CodecError(
-            f"event record carries {len(data) - pos} trailing byte(s)"
-        )
-    return event
+        return Characters(text, level), pos
+    raise CodecError(f"unknown event record kind {kind}")
+
+
+# -- blocks -----------------------------------------------------------------
+
+
+def block_header(count: int) -> bytes:
+    """The prefix of a block payload that holds ``count`` records."""
+    out = bytearray()
+    _write_uvarint(out, count)
+    return bytes(out)
+
+
+def block_count(payload: bytes) -> tuple[int, int]:
+    """A block's declared event count and the offset of its first record."""
+    return _read_uvarint(payload, 0)
+
+
+def iter_block(
+    payload: bytes,
+    limits: ResourceLimits | None = None,
+    *,
+    skip: int = 0,
+    emitted: int = 0,
+):
+    """Yield the events of a block payload, leaving out the first ``skip``.
+
+    Every yielded event is decoded under ``limits``; before each one,
+    ``max_total_events`` is checked against ``emitted`` (the events the
+    caller already delivered) plus this one.  Skipped records are decoded
+    only to step past them.  A count larger than the records present, or
+    bytes after the last record, raise :class:`CodecError`.
+    """
+    count, pos = _read_uvarint(payload, 0)
+    for index in range(count):
+        if index < skip:
+            _event, pos = _decode_at(payload, pos)
+            continue
+        if limits is not None:
+            emitted += 1
+            limits.check("max_total_events", emitted)
+        event, pos = _decode_at(payload, pos, limits)
+        yield event
+    if pos != len(payload):
+        raise CodecError(f"event block carries {len(payload) - pos} trailing byte(s)")

@@ -9,8 +9,11 @@ import pytest
 
 from repro.serve.framing import encode_frame
 from repro.store.log import (
+    BLOCK_BYTES,
     MANIFEST_NAME,
     REC_EVENT,
+    REC_EVENTS,
+    STORE_MANIFEST_VERSION,
     EventLogReader,
     EventLogWriter,
     ReplayStats,
@@ -18,8 +21,16 @@ from repro.store.log import (
     compact,
 )
 from repro.store.sync import SyncPolicy
+from repro.stream.codec import (
+    EVENT_KIND_CHARS,
+    CodecError,
+    block_count,
+    block_header,
+    encode_event,
+    iter_block,
+)
 from repro.stream.events import Characters, EndElement, StartElement
-from repro.stream.recovery import ResourceLimits
+from repro.stream.recovery import ResourceLimitError, ResourceLimits
 from repro.stream.tokenizer import parse_string
 
 from tests.test_push_equivalence import random_document
@@ -113,10 +124,10 @@ class TestWriterReader:
 
 
 class TestRecovery:
-    def _torn_store(self, tmp_path, cut: int):
+    def _torn_store(self, tmp_path, cut: int, sync: str = "none"):
         """A store whose active segment lost ``cut`` trailing bytes."""
         store = str(tmp_path / "s")
-        writer = EventLogWriter(store, segment_events=32, sync="none")
+        writer = EventLogWriter(store, segment_events=32, sync=sync)
         events = list(parse_string(random_document(9)))
         writer.extend(events)
         writer.flush()
@@ -139,7 +150,9 @@ class TestRecovery:
         assert list(EventLogReader(store).events()) == events
 
     def test_corrupt_middle_of_active_truncates_there(self, tmp_path):
-        store, events = self._torn_store(tmp_path, 0)
+        # A sync point every 2 events closes a block every 2 events, so
+        # intact blocks precede the flipped bit.
+        store, events = self._torn_store(tmp_path, 0, sync="interval:2")
         active = os.path.join(
             store, json.load(open(os.path.join(store, MANIFEST_NAME)))["active"]
         )
@@ -325,3 +338,312 @@ class TestSyncPolicy:
         assert mid_count >= appended // 5 - 1
         writer.close()
         assert len(calls) > mid_count  # seal forces a final sync
+
+    def test_none_never_fsyncs(self, tmp_path, monkeypatch):
+        import repro.store.sync as sync_mod
+        from repro.obs.metrics import MetricsRegistry
+        from repro.store import ingest
+
+        calls = []
+        monkeypatch.setattr(sync_mod.os, "fsync", lambda fd: calls.append(fd))
+        metrics = MetricsRegistry()
+        store = str(tmp_path / "s")
+        result = ingest(random_document(10), store, queries={"t": "//title"},
+                        segment_events=4, checkpoint_interval=3, sync="none",
+                        metrics=metrics)
+        assert result.segments > 2
+        assert calls == []
+        assert metrics.counter("repro_store_syncs_total").get() == 0
+
+
+def _frames(store):
+    """``(segment file, frame)`` for every frame of every segment, in order."""
+    from repro.store.log import _scan_frames
+
+    reader = EventLogReader(store)
+    for segment in reader.segments():
+        for frame, _offset in _scan_frames(os.path.join(store, segment.file)):
+            yield segment.file, frame
+
+
+def encode_block(events):
+    """A block payload: the event count, then each record back to back."""
+    return block_header(len(events)) + b"".join(encode_event(e) for e in events)
+
+
+def _append_raw(store, writer, type_code, payload):
+    """Append a hand-made (CRC-valid) frame to the live writer's segment."""
+    writer.flush()
+    with open(os.path.join(store, writer._manifest.active), "ab") as handle:
+        handle.write(encode_frame(type_code, payload))
+
+
+class TestEventBlocks:
+    def test_sync_always_writes_one_event_per_frame(self, tmp_path, monkeypatch):
+        import repro.store.sync as sync_mod
+
+        monkeypatch.setattr(sync_mod.os, "fsync", lambda fd: None)
+        store = str(tmp_path / "s")
+        _, events = write_document(store, random_document(12), sync="always")
+        counts = [
+            block_count(frame.payload)[0]
+            for _file, frame in _frames(store) if frame.type == REC_EVENTS
+        ]
+        assert counts == [1] * len(events)
+
+    def test_interval_sync_closes_a_block_every_n_events(self, tmp_path, monkeypatch):
+        import repro.store.sync as sync_mod
+
+        monkeypatch.setattr(sync_mod.os, "fsync", lambda fd: None)
+        store = str(tmp_path / "s")
+        _, events = write_document(store, random_document(13), sync="interval:4",
+                                   segment_events=10_000)
+        counts = [
+            block_count(frame.payload)[0]
+            for _file, frame in _frames(store) if frame.type == REC_EVENTS
+        ]
+        assert sum(counts) == len(events)
+        assert all(count == 4 for count in counts[:-1]) and counts[-1] <= 4
+
+    def test_none_frames_bounded_by_boundaries(self, tmp_path):
+        from repro.store import ingest
+
+        store = str(tmp_path / "s")
+        text = "<r>" + "".join(f"<a><b>{i}</b></a>" for i in range(3000)) + "</r>"
+        result = ingest(text, store, sync="none", checkpoint_interval=1000,
+                        segment_events=4096)
+        frames = [frame for _file, frame in _frames(store)
+                  if frame.type == REC_EVENTS]
+        size = sum(len(frame.payload) for frame in frames)
+        bound = len(result.checkpoints) + result.segments + -(-size // BLOCK_BYTES)
+        assert len(frames) <= bound
+        assert all(len(frame.payload) <= BLOCK_BYTES for frame in frames)
+
+    def test_block_closes_before_passing_the_byte_limit(self, tmp_path):
+        store = str(tmp_path / "s")
+        writer = EventLogWriter(store, sync="none")
+        events = [StartElement("r", 1, 1, {})]
+        events += [Characters("x" * 5000, 1) for _ in range(40)]
+        events += [Characters("y" * (BLOCK_BYTES + 10), 1), EndElement("r", 1)]
+        writer.extend(events)
+        writer.close()
+        payloads = [frame.payload for _file, frame in _frames(store)
+                    if frame.type == REC_EVENTS]
+        assert len(payloads) > 2
+        # Only a lone event larger than the limit may make a bigger block.
+        for payload in payloads:
+            assert len(payload) <= BLOCK_BYTES or block_count(payload)[0] == 1
+        assert list(EventLogReader(store).events()) == events
+
+    def test_event_larger_than_max_frame_is_refused(self, tmp_path):
+        store = str(tmp_path / "s")
+        writer = EventLogWriter(store, sync="none", max_frame=1024)
+        writer.append(StartElement("r", 1, 1, {}))
+        with pytest.raises(StoreError, match="frame limit"):
+            writer.append(Characters("z" * 2000, 1))
+        assert writer.position == 1
+        writer.append(EndElement("r", 1))
+        writer.close()
+        events = list(EventLogReader(store, max_frame=1024).events())
+        assert events == [StartElement("r", 1, 1, {}), EndElement("r", 1)]
+
+    def test_counters_stay_exact(self, tmp_path):
+        from repro.obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        store = str(tmp_path / "s")
+        writer = EventLogWriter(store, sync="none", segment_events=7,
+                                checkpoint_interval=5, metrics=metrics)
+        events = list(parse_string(random_document(14)))
+        writer.extend(events)
+        writer.close()
+        written = sum(
+            os.path.getsize(os.path.join(store, segment.file))
+            for segment in EventLogReader(store).segments()
+        )
+        assert metrics.counter("repro_store_events_total").get() == len(events)
+        assert metrics.counter("repro_store_bytes_total").get() == written
+        assert metrics.counter("repro_store_syncs_total").get() == 0
+
+    def test_segment_summary_exact_across_blocks(self, tmp_path):
+        text = random_document(15)
+        store = str(tmp_path / "s")
+        _, events = write_document(store, text, segment_events=6, sync="none")
+        for segment in EventLogReader(store).segments():
+            chunk = events[segment.base_event:segment.base_event + segment.events]
+            assert segment.tags == {e.tag for e in chunk if not isinstance(e, Characters)}
+            assert segment.has_text == any(isinstance(e, Characters) for e in chunk)
+            assert segment.min_level == min(e.level for e in chunk)
+            assert segment.max_level == max(e.level for e in chunk)
+
+    def test_blocks_before_start_are_stepped_over(self, tmp_path, monkeypatch):
+        import repro.store.log as log_mod
+
+        store = str(tmp_path / "s")
+        _, events = write_document(store, random_document(16), segment_events=10_000,
+                                   checkpoint_interval=4)
+        decoded = []
+        real = log_mod.iter_block
+
+        def counting(payload, *args, **kwargs):
+            decoded.append(block_count(payload)[0])
+            return real(payload, *args, **kwargs)
+
+        monkeypatch.setattr(log_mod, "iter_block", counting)
+        stats = ReplayStats()
+        start = len(events) - 2
+        assert list(EventLogReader(store).events(start, stats=stats)) == events[start:]
+        assert sum(decoded) < len(events) // 2
+        assert stats.events_positioned_past == start
+
+    @pytest.mark.parametrize("cut", [1, 4, 9])
+    def test_tear_inside_a_block_recovers_to_its_start(self, tmp_path, monkeypatch, cut):
+        import repro.store.sync as sync_mod
+
+        monkeypatch.setattr(sync_mod.os, "fsync", lambda fd: None)
+        store = str(tmp_path / "s")
+        writer = EventLogWriter(store, segment_events=10_000, sync="interval:5")
+        events = list(parse_string(random_document(17)))
+        events = events[: len(events) - len(events) % 5] or events
+        writer.extend(events)
+        writer.flush()
+        active = os.path.join(store, writer._manifest.active)
+        with open(active, "r+b") as handle:
+            handle.truncate(os.path.getsize(active) - cut)
+        recovered = EventLogWriter(store, segment_events=10_000, sync="none")
+        assert recovered.recovered_tail_bytes > 0
+        # The torn block is the last one: recovery lands on its start.
+        assert recovered.position == len(events) - 5
+        recovered.extend(events[recovered.position:])
+        recovered.close()
+        assert list(EventLogReader(store).events()) == events
+        again = EventLogWriter(store, segment_events=10_000, sync="none")
+        assert again.position == len(events) and again.recovered_tail_bytes == 0
+        again.close()
+
+
+class TestHostileBlocks:
+    """CRC-valid but hostile blocks must raise before they allocate."""
+
+    def _store_with(self, tmp_path, payload):
+        """A store whose one sealed segment ends with ``payload`` as a block."""
+        store = str(tmp_path / "s")
+        writer = EventLogWriter(store, sync="none")
+        writer.append(StartElement("r", 1, 1, {}))
+        _append_raw(store, writer, REC_EVENTS, payload)
+        writer.close()
+        return store
+
+    def test_count_larger_than_contents(self, tmp_path):
+        records = encode_block([StartElement("a", 2, 2, {})])[1:]
+        store = self._store_with(tmp_path, block_header(1000) + records)
+        with pytest.raises(CodecError):
+            list(EventLogReader(store).events())
+
+    def test_trailing_bytes(self, tmp_path):
+        payload = encode_block([EndElement("r", 1)]) + b"\x00\x01"
+        store = self._store_with(tmp_path, payload)
+        with pytest.raises(CodecError, match="trailing"):
+            list(EventLogReader(store).events())
+
+    def test_declared_huge_text(self, tmp_path):
+        # One characters record declaring 2**30 bytes but carrying three.
+        record = bytes([EVENT_KIND_CHARS, 1]) + b"\x80\x80\x80\x80\x04" + b"abc"
+        store = self._store_with(tmp_path, block_header(1) + record)
+        limits = ResourceLimits(max_text_length=1 << 20)
+        with pytest.raises(ResourceLimitError, match="max_text_length"):
+            list(EventLogReader(store, limits=limits).events())
+        with pytest.raises(CodecError, match="truncated"):
+            list(EventLogReader(store).events())
+
+    def test_depth_bomb_mid_block(self, tmp_path):
+        good = [StartElement("a", 2, 2, {}), EndElement("a", 2)]
+        payload = encode_block(good + [StartElement("x", 10**6, 3, {})])
+        store = self._store_with(tmp_path, payload)
+        delivered = []
+        with pytest.raises(ResourceLimitError, match="max_depth"):
+            for event in EventLogReader(store, limits=ResourceLimits(max_depth=64)).events():
+                delivered.append(event)
+        assert delivered == [StartElement("r", 1, 1, {})] + good
+
+    def test_total_events_checked_inside_a_block(self, tmp_path):
+        payload = encode_block([Characters(str(i), 1) for i in range(50)])
+        store = self._store_with(tmp_path, payload)
+        reader = EventLogReader(store, limits=ResourceLimits(max_total_events=10))
+        delivered = []
+        with pytest.raises(ResourceLimitError, match="max_total_events"):
+            for event in reader.events():
+                delivered.append(event)
+        assert len(delivered) == 10
+
+
+class TestFormatVersions:
+    def test_unknown_record_in_active_tail_stops_the_read(self, tmp_path):
+        store = str(tmp_path / "s")
+        writer = EventLogWriter(store, sync="none")
+        writer.append(StartElement("r", 1, 1, {}))
+        _append_raw(store, writer, 99, b"from the future")
+        _append_raw(store, writer, REC_EVENTS, encode_block([EndElement("r", 1)]))
+        assert list(EventLogReader(store).events()) == [StartElement("r", 1, 1, {})]
+
+    def test_unknown_record_in_sealed_segment_raises(self, tmp_path):
+        store = str(tmp_path / "s")
+        writer = EventLogWriter(store, sync="none")
+        writer.append(StartElement("r", 1, 1, {}))
+        _append_raw(store, writer, 99, b"from the future")
+        writer.close()
+        with pytest.raises(StoreError, match="unknown record type 99"):
+            list(EventLogReader(store).events())
+
+    def test_newer_manifest_refused(self, tmp_path):
+        store = str(tmp_path / "s")
+        write_document(store, "<r/>")
+        path = os.path.join(store, MANIFEST_NAME)
+        manifest = json.load(open(path))
+        manifest["version"] = STORE_MANIFEST_VERSION + 1
+        json.dump(manifest, open(path, "w"))
+        with pytest.raises(StoreError, match="unsupported store manifest version"):
+            EventLogReader(store)
+
+    def test_version_1_store_replays_and_is_upgraded(self, tmp_path):
+        store = str(tmp_path / "s")
+        _, events = write_document(store, random_document(18), segment_events=8,
+                                   checkpoint_interval=5)
+        _downgrade_to_version_1(store)
+        reader = EventLogReader(store)
+        assert reader.manifest()["version"] == 2  # re-serialised, not on disk
+        assert list(reader.events()) == events
+        for start in (0, 3, len(events) - 1):
+            assert list(reader.events(start)) == events[start:]
+        assert [c.event for c in reader.checkpoints()] == [
+            c.event for c in EventLogReader(store).checkpoints()
+        ]
+        writer = EventLogWriter(store, segment_events=8, sync="none")
+        assert writer.position == len(events)
+        on_disk = json.load(open(os.path.join(store, MANIFEST_NAME)))
+        assert on_disk["version"] == STORE_MANIFEST_VERSION
+        more = list(parse_string("<s><t>1</t></s>"))
+        writer.extend(more)
+        writer.close()
+        assert list(EventLogReader(store).events()) == events + more
+
+
+def _downgrade_to_version_1(store):
+    """Rewrite a closed store in the version-1 layout: one frame per event."""
+    from repro.store.log import REC_EVENT, _scan_frames
+
+    manifest_path = os.path.join(store, MANIFEST_NAME)
+    manifest = json.load(open(manifest_path))
+    for entry in manifest["segments"]:
+        path = os.path.join(store, entry["file"])
+        out = bytearray()
+        for frame, _offset in _scan_frames(path):
+            if frame.type == REC_EVENTS:
+                for event in iter_block(frame.payload):
+                    out += encode_frame(REC_EVENT, encode_event(event))
+            else:
+                out += encode_frame(frame.type, frame.payload)
+        open(path, "wb").write(bytes(out))
+        entry["size"] = len(out)
+    manifest["version"] = 1
+    json.dump(manifest, open(manifest_path, "w"))

@@ -371,3 +371,41 @@ class TestReplayErrors:
         with pytest.raises(StoreError, match="not both"):
             ingest("<r/>", str(tmp_path / "s"), queries={"q": "//r"},
                    engine=MultiQueryEngine({"q": "//r"}))
+
+
+class TestBlockFramingMatrix:
+    """Block boundaries under every cadence: replay stays byte-identical.
+
+    Checkpoints, rotation and sync points all close event blocks, so the
+    matrix puts block boundaries everywhere a checkpoint or a segment
+    edge can fall; the push tee and pull ``append`` must agree.
+    """
+
+    @pytest.mark.parametrize("push", [True, False], ids=["push", "pull"])
+    @pytest.mark.parametrize("sync", ["always", "interval:3", "none"])
+    @pytest.mark.parametrize("segment_events", [1, 5, 4096])
+    @pytest.mark.parametrize("checkpoint_interval", [0, 1, 7, 1024])
+    def test_every_checkpoint_replays_identically(
+        self, tmp_path, monkeypatch, checkpoint_interval, segment_events, sync, push
+    ):
+        import repro.store.sync as sync_mod
+        from repro.stream.tokenizer import parse_string
+
+        monkeypatch.setattr(sync_mod.os, "fsync", lambda fd: None)
+        seed = 700 + checkpoint_interval + 31 * segment_events + len(sync)
+        text = random_document(seed)
+        reference = live_push(QUERY_SET, text)
+        store = str(tmp_path / "s")
+        result = ingest(
+            text, store, queries=dict(QUERY_SET),
+            checkpoint_interval=checkpoint_interval,
+            segment_events=segment_events, sync=sync, push=push,
+        )
+        assert result.results == reference
+        assert list(EventLogReader(store).events()) == list(parse_string(text))
+        assert replay(dict(QUERY_SET), store) == reference
+        for checkpoint in result.checkpoints:
+            assert replay(None, store, from_checkpoint=checkpoint) == reference
+        if checkpoint_interval:
+            expected = result.events // checkpoint_interval + 1
+            assert len(result.checkpoints) == expected
