@@ -11,7 +11,7 @@ import pytest
 
 from repro.baselines.lazydfa import LazyDfaEngine
 from repro.core.processor import XPathStream
-from repro.obs.machines import ObsTwigM
+from repro.core.twigm import TwigM
 from repro.stream.events import count_elements, document_depth
 from repro.stream.expat_source import expat_parse_string
 from repro.stream.tokenizer import parse_string
@@ -86,7 +86,7 @@ def test_theorem_4_4_operation_bound(benchmark, qid_xpath, book_corpus):
     events = list(book_corpus.events())
 
     def run():
-        machine = ObsTwigM(xpath)
+        machine = TwigM(xpath)
         machine.feed(iter(events))
         return machine
 

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.core.filtering import PathFilterSet
-from repro.core.multiquery import MultiQueryStream
+from repro.multiq.engine import MultiQueryEngine
 from repro.stream.tokenizer import parse_string
 
 TAGS = ("book", "section", "title", "author", "figure", "image", "p")
@@ -59,7 +59,7 @@ def test_per_query_machines(benchmark, n_queries, events):
     queries = query_set(n_queries)
 
     def run():
-        feed = MultiQueryStream(queries)
+        feed = MultiQueryEngine(queries)
         feed.feed_events(iter(events))
         return feed.results()
 
@@ -99,7 +99,7 @@ def test_shared_agrees_with_per_query(benchmark, events):
 
     def compare():
         shared = PathFilterSet(queries).run(iter(events))
-        feed = MultiQueryStream(queries)
+        feed = MultiQueryEngine(queries)
         feed.feed_events(iter(events))
         return shared, feed.results()
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.baselines.enumerative import count_pattern_matches
 from repro.baselines.explicit import ExplicitMatchEngine
-from repro.obs.machines import ObsTwigM
+from repro.core.twigm import TwigM
 from repro.stream.document import build_document
 from repro.stream.tokenizer import parse_string
 
@@ -36,7 +36,7 @@ def test_twigm_linear_state(benchmark, n):
     events = list(parse_string(chain(n)))
 
     def run():
-        machine = ObsTwigM(QUERY)
+        machine = TwigM(QUERY)
         machine.feed(iter(events))
         return machine
 
@@ -85,7 +85,7 @@ def test_state_gap_grows_with_n(benchmark):
 
     def gap(n: int) -> float:
         events = list(parse_string(chain(n)))
-        twig = ObsTwigM(QUERY)
+        twig = TwigM(QUERY)
         twig.feed(iter(events))
         explicit = ExplicitMatchEngine()
         explicit.run(QUERY, iter(events))

@@ -12,7 +12,7 @@ import pytest
 from benchmarks._grid import ENGINES
 from repro.datasets.stats import collect_stats
 from repro.datasets.treebank import treebank_events
-from repro.obs.machines import ObsTwigM
+from repro.core.twigm import TwigM
 
 QUERIES = {
     "path": "//S//VP//NN",
@@ -53,7 +53,7 @@ def test_treebank_stack_bound(benchmark, corpus_events, corpus_stats):
     query = QUERIES["twig"]
 
     def run():
-        machine = ObsTwigM(query)
+        machine = TwigM(query)
         machine.feed(iter(corpus_events))
         return machine
 

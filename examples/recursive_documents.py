@@ -20,7 +20,7 @@ Run::
 import time
 
 from repro.baselines.explicit import ExplicitMatchEngine
-from repro.obs.machines import ObsTwigM
+from repro.core.twigm import TwigM
 from repro.stream.tokenizer import parse_string
 
 QUERY = "//a[d]//b[e]//c"
@@ -46,7 +46,7 @@ def figure1_document(n: int) -> str:
 def measure(n: int) -> dict:
     events = list(parse_string(figure1_document(n)))
 
-    twigm = ObsTwigM(QUERY)
+    twigm = TwigM(QUERY)
     started = time.perf_counter()
     twigm.feed(iter(events))
     twigm_time = time.perf_counter() - started

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from repro.baselines.enumerative import count_pattern_matches
 from repro.baselines.explicit import ExplicitMatchEngine
-from repro.obs.machines import ObsTwigM
+from repro.core.twigm import TwigM
 from repro.stream.document import build_document
 from repro.stream.events import Event
 from repro.stream.tokenizer import parse_string
@@ -114,8 +114,8 @@ def chain_scaling(
     for n in sizes:
         events = events_by_n[n]
 
-        def run_twigm() -> ObsTwigM:
-            machine = ObsTwigM(CHAIN_QUERY)
+        def run_twigm() -> TwigM:
+            machine = TwigM(CHAIN_QUERY)
             machine.feed(iter(events))
             return machine
 

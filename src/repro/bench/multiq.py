@@ -12,8 +12,8 @@ Per query count the benchmark reports engine throughput plus the routing
 counters of :class:`repro.multiq.engine.DispatchStats` — in particular
 ``reduction``, the broadcast-to-dispatched machine-event ratio that the
 alphabet router is buying.  For small query counts it also times the
-broadcast baseline (one dedicated :class:`XPathStream` per query, the
-old ``MultiQueryStream`` dispatch) for a measured speedup.
+broadcast baseline (one dedicated :class:`XPathStream` per query, every
+event delivered to every machine) for a measured speedup.
 
 Run it directly::
 

@@ -39,7 +39,7 @@ from typing import Iterable
 from repro.compile.nfa import subset_step, trunk_steps
 from repro.core.machine import Machine, build_machine
 from repro.core.pathm import PathM
-from repro.core.push import LimitCountingHandler
+from repro.core.push import AccountingHandler
 from repro.core.results import CollectingSink, DiscardingSink, ResultSink
 from repro.errors import CheckpointError, UnsupportedQueryError
 from repro.stream.events import EndElement, Event, StartElement
@@ -299,7 +299,7 @@ class DfaPathM:
         wrapper when limits are set (mirrors PathM)."""
         if self._limits is None:
             return self
-        return LimitCountingHandler(self)
+        return AccountingHandler(self)
 
     def feed(self, events: Iterable[Event]) -> None:
         """Process a batch of modified-SAX events (pull driver)."""

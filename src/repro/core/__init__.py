@@ -4,19 +4,19 @@
 * :mod:`repro.core.pathm` — XP{/,//,*} evaluation (section 3.1).
 * :mod:`repro.core.branchm` — XP{/,[]} evaluation (section 3.2).
 * :mod:`repro.core.twigm` — XP{/,//,*,[]} evaluation (sections 3.3, 4).
+* :mod:`repro.core.counts` — the machines' operation counters.
 * :mod:`repro.core.processor` — fragment dispatch and the public API.
 * :mod:`repro.core.results` — incremental result sinks.
 * :mod:`repro.core.fragments` — XML-fragment output with buffer GC.
-* :mod:`repro.core.multiquery` — many standing queries, one pass.
 * :mod:`repro.core.filtering` — shared-automaton query filtering.
 * :mod:`repro.core.debug` — machine/state rendering and tracing.
 """
 
 from repro.core.branchm import BranchM, evaluate_branchm
+from repro.core.counts import OperationCounts
 from repro.core.filtering import FilterSet, PathFilterSet
 from repro.core.fragments import FragmentCapture, evaluate_fragments
 from repro.core.machine import EDGE_EQ, EDGE_GE, Machine, MachineNode, build_machine
-from repro.core.multiquery import MultiQueryStream
 from repro.core.pathm import PathM, evaluate_pathm
 from repro.core.processor import XPathStream, evaluate, select_engine_class
 from repro.core.results import CallbackSink, CollectingSink, CountingSink, ResultSink
@@ -27,7 +27,6 @@ __all__ = [
     "PathFilterSet",
     "CandidateTracker",
     "FragmentCapture",
-    "MultiQueryStream",
     "evaluate_fragments",
     "EDGE_EQ",
     "EDGE_GE",
@@ -37,6 +36,7 @@ __all__ = [
     "CountingSink",
     "Machine",
     "MachineNode",
+    "OperationCounts",
     "PathM",
     "ResultSink",
     "StackEntry",

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.core.counts import CountedEngine
 from repro.core.machine import Machine, MachineNode, build_machine
-from repro.core.push import LimitCountingHandler
 from repro.core.results import CollectingSink, ResultSink
 from repro.errors import CheckpointError, UnsupportedQueryError
 from repro.stream.events import Characters, EndElement, Event, StartElement
@@ -58,15 +58,20 @@ class _Slot:
         self.stable = False
 
 
-class BranchM:
+class BranchM(CountedEngine):
     """Evaluator for queries in XP{/,[]}.
 
     Raises :class:`~repro.errors.UnsupportedQueryError` for queries with
     '//' or '*' (use :class:`~repro.core.twigm.TwigM` instead).
+
+    Slots map onto the stack vocabulary of :attr:`counts`
+    (:mod:`repro.core.counts`): an occupation counts as a ``push``
+    (re-occupying a live slot pushes without growing the live count), a
+    slot reset as a ``pop``, a parent-slot probe as an ``edge_check``.
     """
 
-    #: Stable engine identifier — shared by instrumented subclasses, used
-    #: as the snapshot ``engine`` key and as the metrics ``engine`` label.
+    #: Stable engine identifier, used as the snapshot ``engine`` key and
+    #: as the metrics ``engine`` label.
     machine_name = "branchm"
 
     def __init__(
@@ -74,6 +79,7 @@ class BranchM:
         query: "str | QueryTree | Machine",
         sink: ResultSink | None = None,
         limits: ResourceLimits | None = None,
+        metrics=None,
         *,
         emission: str = "default",
         lag_probe=None,
@@ -133,6 +139,7 @@ class BranchM:
         trunk.reverse()
         self._trunk = [(n, self._slots[id(n)]) for n in trunk]
         self._trunk_ids = {id(n) for n in trunk}
+        self._init_counts(metrics)
 
     def _compile_plan(self, nodes) -> list:
         return [
@@ -163,6 +170,7 @@ class BranchM:
         self._event_count = 0
         self._open_value_slots = 0
         self._trunk_dirty = False
+        self._discard_live()
 
     # -- checkpointing -----------------------------------------------------
 
@@ -179,11 +187,11 @@ class BranchM:
                     list(slot.text_parts) if slot.text_parts is not None else None,
                 ]
             )
-        return {
+        return self._capture_counts({
             "slots": slots,
             "candidate_count": self._candidate_count,
             "event_count": self._event_count,
-        }
+        })
 
     def restore_state(self, state: dict) -> None:
         """Load a :meth:`snapshot_state` capture into this machine."""
@@ -205,6 +213,7 @@ class BranchM:
         self._open_value_slots = sum(
             1 for slot in self._value_slots if slot.text_parts is not None
         )
+        self._restore_counts(state)
         if self._detect:
             # ``stable`` is recomputed from the captured flags (captures
             # taken by any mode restore into any mode); the scheduled
@@ -216,6 +225,9 @@ class BranchM:
                 if slot.level != -1:
                     self._note_stable(node, slot)
             self._trunk_dirty = True
+
+    def _recount_live(self) -> int:
+        return sum(1 for slot in self._slots.values() if slot.level != -1)
 
     # -- transitions -------------------------------------------------------
 
@@ -232,7 +244,9 @@ class BranchM:
             return
         if attributes is None:
             attributes = {}
+        counts = self.counts
         for node, slot, parent_slot in plan:
+            counts.edge_checks += 1
             if parent_slot is None:
                 if level != node.edge_dist:
                     continue
@@ -242,6 +256,7 @@ class BranchM:
                 continue
             if slot.candidates:
                 self._candidate_count -= len(slot.candidates)
+            occupied = slot.level != -1
             slot.level = level
             slot.flags = 0
             slot.candidates = None
@@ -253,6 +268,15 @@ class BranchM:
             if node.is_return:
                 slot.candidates = {node_id}
                 self._count_candidates(1)
+            counts.pushes += 1
+            if occupied:
+                # Re-occupying a live slot: a push with no pop that does
+                # not grow the live count.
+                self._live_base += 1
+            else:
+                live = counts.pushes - counts.pops - self._live_base
+                if live > counts.peak_entries:
+                    counts.peak_entries = live
             if self._detect:
                 self._note_stable(node, slot)
         if self._trunk_dirty:
@@ -275,6 +299,7 @@ class BranchM:
         plan = self._plans.get(tag)
         if plan is None:
             return
+        counts = self.counts
         for node, slot, parent_slot in plan:
             if slot.level != level:
                 continue
@@ -289,8 +314,10 @@ class BranchM:
                 else:
                     # With child-only axes the parent slot necessarily
                     # holds this node's parent element.
+                    counts.flag_sets += 1
                     parent_slot.flags |= 1 << node.child_index
                     if slot.candidates:
+                        counts.uploads += 1
                         if parent_slot.candidates is None:
                             parent_slot.candidates = set(slot.candidates)
                             self._count_candidates(len(parent_slot.candidates))
@@ -308,6 +335,7 @@ class BranchM:
             if slot.text_parts is not None:
                 self._open_value_slots -= 1
             slot.reset()
+            counts.pops += 1
         if self._trunk_dirty:
             self._flush_trunk()
 
@@ -320,7 +348,8 @@ class BranchM:
     # parent slot", pinned for as long as the child element is open.
 
     def _emit_ids(self, candidates) -> None:
-        """Emit a candidate set (single override point for counting)."""
+        """Emit a candidate set — also the earliest flush's emit path."""
+        self.counts.emitted += len(candidates)
         self.sink.emit_all(sorted(candidates))
 
     def _note_stable(self, node: MachineNode, slot: _Slot) -> None:
@@ -365,23 +394,19 @@ class BranchM:
 
     # -- event-stream driving ------------------------------------------------
 
-    def as_handler(self):
-        """Push-pipeline adapter (:mod:`repro.core.push`): the engine
-        itself, or a limit-counting wrapper when limits are set."""
-        if self._limits is None:
-            return self
-        return LimitCountingHandler(self)
-
     def feed(self, events: Iterable[Event]) -> None:
         """Process a batch of modified-SAX events."""
         limits = self._limits
+        counts = self.counts
         for event in events:
             if limits is not None:
                 self._event_count += 1
                 limits.check("max_total_events", self._event_count)
             if isinstance(event, StartElement):
+                counts.events += 1
                 self.start_element(event.tag, event.level, event.node_id, event.attributes)
             elif isinstance(event, EndElement):
+                counts.events += 1
                 self.end_element(event.tag, event.level)
             elif self._value_slots and isinstance(event, Characters):
                 self.characters(event.text)

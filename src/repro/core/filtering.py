@@ -13,8 +13,7 @@ filtering side for this library:
   central idea).
 * :class:`FilterSet` — the hybrid front door: path queries ride the
   shared automaton, predicate queries fall back to their own
-  PathM/BranchM/TwigM machines (via
-  :class:`~repro.core.multiquery.MultiQueryStream` semantics).
+  PathM/BranchM/TwigM machines.
 
 Both deliver matches incrementally through ``on_match(name, node_id)``
 or collect per-query result lists.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.core.counts import CountedEngine
 from repro.core.machine import (
     EDGE_EQ,
     TAG_CACHE_LIMIT,
@@ -28,7 +29,6 @@ from repro.core.machine import (
     MachineNode,
     build_machine,
 )
-from repro.core.push import LimitCountingHandler
 from repro.core.results import CollectingSink, ResultSink
 from repro.errors import CheckpointError, UnsupportedQueryError
 from repro.stream.events import EndElement, Event, StartElement
@@ -36,18 +36,21 @@ from repro.stream.recovery import ResourceLimits
 from repro.xpath.querytree import QueryTree, compile_query
 
 
-class PathM:
+class PathM(CountedEngine):
     """Evaluator for queries in XP{/,//,*}.
 
     Raises :class:`~repro.errors.UnsupportedQueryError` when the query has
     predicates (use :class:`~repro.core.twigm.TwigM` instead).
 
     An optional :class:`~repro.stream.recovery.ResourceLimits` bounds the
-    document depth and total event count the machine will accept.
+    document depth and total event count the machine will accept; an
+    optional ``metrics`` registry publishes :attr:`counts`
+    (:mod:`repro.core.counts`).  Path queries have no branch matches or
+    candidate sets, so ``flag_sets`` and ``uploads`` stay zero.
     """
 
-    #: Stable engine identifier — shared by instrumented subclasses, used
-    #: as the snapshot ``engine`` key and as the metrics ``engine`` label.
+    #: Stable engine identifier, used as the snapshot ``engine`` key and
+    #: as the metrics ``engine`` label.
     machine_name = "pathm"
 
     def __init__(
@@ -55,6 +58,7 @@ class PathM:
         query: "str | QueryTree | Machine",
         sink: ResultSink | None = None,
         limits: ResourceLimits | None = None,
+        metrics=None,
     ):
         if isinstance(query, Machine):
             self.machine = query
@@ -82,6 +86,7 @@ class PathM:
         }
         self._wild_plan = self._compile_plan(self.machine.wildcards)
         self._return = self.machine.return_node
+        self._init_counts(metrics)
 
     def _miss_plan(self, tag: str) -> list:
         """Resolve (and cache) the plan for a tag outside the alphabet.
@@ -123,17 +128,18 @@ class PathM:
         for stack in self._stacks.values():
             stack.clear()
         self._event_count = 0
+        self._discard_live()
 
     # -- checkpointing ----------------------------------------------------
 
     def snapshot_state(self) -> dict:
         """JSON-serializable capture of the per-node level stacks."""
-        return {
+        return self._capture_counts({
             "stacks": [
                 list(self._stacks[id(node)]) for node in self.machine.iter_nodes()
             ],
             "event_count": self._event_count,
-        }
+        })
 
     def restore_state(self, state: dict) -> None:
         """Load a :meth:`snapshot_state` capture into this machine."""
@@ -148,6 +154,10 @@ class PathM:
             stack.clear()
             stack.extend(levels)
         self._event_count = state.get("event_count", 0)
+        self._restore_counts(state)
+
+    def _recount_live(self) -> int:
+        return sum(len(stack) for stack in self._stacks.values())
 
     # -- transitions ------------------------------------------------------
 
@@ -160,14 +170,30 @@ class PathM:
             plan = self._miss_plan(tag)
             if not plan:
                 return
+        counts = self.counts
         for node, stack, parent_stack in plan:
-            if parent_stack is None:
-                if not node.edge_satisfied(level):
+            if node.edge_op == EDGE_EQ:
+                if parent_stack is None:
+                    counts.edge_checks += 1
+                    if level != node.edge_dist:
+                        continue
+                elif not self._child_edge_exists(parent_stack, level - node.edge_dist):
                     continue
-            elif not self._edge_exists(node, parent_stack, level):
-                continue
+            else:
+                # '>=': one probe — the bottom (smallest) entry decides.
+                counts.edge_checks += 1
+                if parent_stack is None:
+                    if level < node.edge_dist:
+                        continue
+                elif not parent_stack or parent_stack[0] > level - node.edge_dist:
+                    continue
             stack.append(level)
+            counts.pushes += 1
+            live = counts.pushes - counts.pops - self._live_base
+            if live > counts.peak_entries:
+                counts.peak_entries = live
             if node.is_return:
+                counts.emitted += 1
                 self.sink.emit(node_id)
 
     def characters(self, text: str, level: int | None = None) -> None:
@@ -185,42 +211,38 @@ class PathM:
         for node, stack, parent_stack in plan:
             if stack and stack[-1] == level:
                 stack.pop()
+                self.counts.pops += 1
 
-    @staticmethod
-    def _edge_exists(node: MachineNode, parent_stack: list[int], level: int) -> bool:
+    def _child_edge_exists(self, parent_stack: list[int], target: int) -> bool:
+        """Is an entry at level ``target`` on the parent stack ('=' edge)?"""
+        counts = self.counts
         if not parent_stack:
+            counts.edge_checks += 1
             return False
-        if node.edge_op == EDGE_EQ:
-            target = level - node.edge_dist
-            # Levels are strictly increasing; check from the top down.
-            for entry_level in reversed(parent_stack):
-                if entry_level == target:
-                    return True
-                if entry_level < target:
-                    return False
-            return False
-        # '>=': the bottom (smallest) entry decides existence.
-        return parent_stack[0] <= level - node.edge_dist
+        # Levels are strictly increasing; check from the top down.
+        for entry_level in reversed(parent_stack):
+            counts.edge_checks += 1
+            if entry_level == target:
+                return True
+            if entry_level < target:
+                return False
+        return False
 
     # -- event-stream driving ----------------------------------------------
-
-    def as_handler(self):
-        """Push-pipeline adapter (:mod:`repro.core.push`): the engine
-        itself, or a limit-counting wrapper when limits are set."""
-        if self._limits is None:
-            return self
-        return LimitCountingHandler(self)
 
     def feed(self, events: Iterable[Event]) -> None:
         """Process a batch of modified-SAX events."""
         limits = self._limits
+        counts = self.counts
         for event in events:
             if limits is not None:
                 self._event_count += 1
                 limits.check("max_total_events", self._event_count)
             if isinstance(event, StartElement):
+                counts.events += 1
                 self.start_element(event.tag, event.level, event.node_id, event.attributes)
             elif isinstance(event, EndElement):
+                counts.events += 1
                 self.end_element(event.tag, event.level)
             # Characters carry no information for path queries.
 

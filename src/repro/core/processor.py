@@ -129,11 +129,11 @@ class XPathStream:
         by both the tokenizer and the machine.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  When set,
-        the stream runs the *instrumented* machine subclass
-        (:mod:`repro.obs.machines`) and metric-publishing tokenizers, so
-        ``repro_machine_*`` and ``repro_tokenizer_*`` families populate.
-        When ``None`` (the default) the plain classes run — the hot
-        loops contain no metrics code at all.  The lazy-DFA engine
+        the machine publishes its operation counters
+        (:mod:`repro.core.counts`) as the ``repro_machine_*`` families and
+        the tokenizers publish ``repro_tokenizer_*``.  When ``None`` (the
+        default) nothing is published and the push handler is the bare
+        engine — no per-event metrics code runs.  The lazy-DFA engine
         (``compiled=True`` on a predicate-free query) publishes the
         ``repro_compile_*`` family instead.
     compiled:
@@ -192,33 +192,19 @@ class XPathStream:
             engine_class = select_engine_class(query)
         else:
             engine_class = _engine_class_by_name(engine)
-        # Path engines emit at the return node's start tag — already the
-        # earliest point — and take no emission parameter.
-        emission_kwargs = (
-            {"emission": emission}
-            if emission != "default"
-            and engine_class.machine_name in ("twigm", "branchm")
-            else {}
-        )
         if self._compiled:
             engine_class = select_compiled_engine_class(
                 engine_class, explicit=engine is not None
             )
-        if engine_class.machine_name == "dfa":
-            kwargs = {} if state_cap is None else {"state_cap": state_cap}
-            self.engine = engine_class(query, sink=sink, limits=limits,
-                                       metrics=metrics, **kwargs)
-        elif metrics is None:
-            self.engine = engine_class(query, sink=sink, limits=limits,
-                                       **emission_kwargs)
-        else:
-            # Lazy import: the obs layer sits above core and is only
-            # loaded when instrumentation is requested.
-            from repro.obs.machines import OBS_ENGINES_BY_NAME
-
-            obs_class = OBS_ENGINES_BY_NAME[engine_class.machine_name]
-            self.engine = obs_class(query, sink=sink, limits=limits,
-                                    metrics=metrics, **emission_kwargs)
+        # Path engines emit at the return node's start tag — already the
+        # earliest point — and take no emission parameter.
+        kwargs = {}
+        if emission != "default" and engine_class.machine_name in ("twigm", "branchm"):
+            kwargs["emission"] = emission
+        if engine_class.machine_name == "dfa" and state_cap is not None:
+            kwargs["state_cap"] = state_cap
+        self.engine = engine_class(query, sink=sink, limits=limits,
+                                   metrics=metrics, **kwargs)
         self._sink = sink
         self._tokenizer: XmlTokenizer | None = None
         self._push_handler = None
@@ -226,13 +212,8 @@ class XPathStream:
 
     @property
     def engine_name(self) -> str:
-        """Which machine evaluates this query: pathm, branchm or twigm.
-
-        Instrumented subclasses report their base engine's name, so
-        snapshots restore onto either variant.
-        """
-        return getattr(type(self.engine), "machine_name",
-                       type(self.engine).__name__.lower())
+        """Which machine evaluates this query: pathm, branchm, twigm or dfa."""
+        return self.engine.machine_name
 
     @property
     def results(self) -> list[int]:
@@ -427,9 +408,9 @@ class XPathStream:
         Callbacks are not serializable, so ``on_match``/``on_diagnostic``
         are supplied anew; ids emitted before the checkpoint are
         remembered and will not fire ``on_match`` again.  Passing
-        ``metrics`` resumes with instrumentation: cumulative counters
-        carried in the snapshot are re-published, so the registry of a
-        resumed stream reports the same totals as an uninterrupted run.
+        ``metrics`` resumes publishing: cumulative counters carried in
+        the snapshot are re-published, so the registry of a resumed
+        stream reports the same totals as an uninterrupted run.
         """
         version = snapshot.get("version")
         if version != SNAPSHOT_VERSION:

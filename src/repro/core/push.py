@@ -8,12 +8,14 @@ natively — their transition methods *are* the callbacks — so
 pipeline (:meth:`~repro.stream.tokenizer.XmlTokenizer.feed_into`) drives
 δs/δe with zero indirection.
 
-The one thing the engines' pull driver (``feed``) does *around* the
-transitions is per-event accounting against
-:class:`~repro.stream.recovery.ResourceLimits` (``max_total_events``).
-When an engine carries limits, :class:`LimitCountingHandler` restores
-exactly that accounting in push mode, so limit enforcement is
-bit-identical between the two pipelines.
+The engines' pull driver (``feed``) does two things *around* the
+transitions, once per event: it counts element events into
+``engine.counts.events`` (:mod:`repro.core.counts`), and it accounts
+every event against :class:`~repro.stream.recovery.ResourceLimits`
+(``max_total_events``).  When an engine carries limits or publishes
+metrics, :class:`AccountingHandler` restores exactly that accounting in
+push mode, so counters and limit enforcement are bit-identical between
+the two pipelines.
 """
 
 from __future__ import annotations
@@ -21,34 +23,44 @@ from __future__ import annotations
 from repro.stream.events import EventHandler
 
 
-class LimitCountingHandler(EventHandler):
-    """Wrap an engine to count events against its resource limits.
+class AccountingHandler(EventHandler):
+    """Wrap an engine to count its events, as its ``feed`` does.
 
-    Mirrors the accounting in the engines' ``feed``: the event is counted
-    (and ``max_total_events`` checked) *before* the transition runs, for
-    every event kind — including ``Characters`` the engine then skips.
+    Element events are added to ``engine.counts.events`` (engines
+    without operation counters, such as the lazy DFA, skip this); with
+    limits set, every event kind — including ``Characters`` the engine
+    then skips — is counted and ``max_total_events`` checked *before*
+    the transition runs.
     """
 
-    __slots__ = ("_engine", "_limits")
+    __slots__ = ("_engine", "_limits", "_counts")
 
     def __init__(self, engine) -> None:
         self._engine = engine
         self._limits = engine._limits
+        self._counts = getattr(engine, "counts", None)
 
     def start_element(self, tag, level, node_id, attributes) -> None:
         engine = self._engine
-        engine._event_count += 1
-        self._limits.check("max_total_events", engine._event_count)
+        if self._limits is not None:
+            engine._event_count += 1
+            self._limits.check("max_total_events", engine._event_count)
+        if self._counts is not None:
+            self._counts.events += 1
         engine.start_element(tag, level, node_id, attributes)
 
     def characters(self, text, level) -> None:
         engine = self._engine
-        engine._event_count += 1
-        self._limits.check("max_total_events", engine._event_count)
+        if self._limits is not None:
+            engine._event_count += 1
+            self._limits.check("max_total_events", engine._event_count)
         engine.characters(text, level)
 
     def end_element(self, tag, level) -> None:
         engine = self._engine
-        engine._event_count += 1
-        self._limits.check("max_total_events", engine._event_count)
+        if self._limits is not None:
+            engine._event_count += 1
+            self._limits.check("max_total_events", engine._event_count)
+        if self._counts is not None:
+            self._counts.events += 1
         engine.end_element(tag, level)

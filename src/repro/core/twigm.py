@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.core.counts import CountedEngine
 from repro.core.machine import (
     EDGE_EQ,
     TAG_CACHE_LIMIT,
@@ -39,7 +40,6 @@ from repro.core.machine import (
     MachineNode,
     build_machine,
 )
-from repro.core.push import LimitCountingHandler
 from repro.core.results import CollectingSink, ResultSink
 from repro.errors import CheckpointError, UnsupportedQueryError
 from repro.stream.events import Characters, EndElement, Event, StartElement
@@ -117,7 +117,7 @@ class CandidateTracker:
         raise NotImplementedError
 
 
-class TwigM:
+class TwigM(CountedEngine):
     """The TwigM evaluator: feed it modified-SAX events, read solutions.
 
     Parameters
@@ -143,6 +143,10 @@ class TwigM:
         total ids held across all stack entries) and
         ``max_total_events``, raising
         :class:`~repro.errors.ResourceLimitError` when crossed.
+    metrics:
+        Optional :class:`~repro.obs.metrics.MetricsRegistry` that
+        publishes the engine's operation counters (:attr:`counts`, see
+        :mod:`repro.core.counts`) as the ``repro_machine_*`` families.
     emission:
         ``"default"`` follows the paper (candidates buffer until their
         predicates settle at end tags); ``"earliest"`` propagates
@@ -160,8 +164,8 @@ class TwigM:
     integration with any parser.
     """
 
-    #: Stable engine identifier — shared by instrumented subclasses, used
-    #: as the snapshot ``engine`` key and as the metrics ``engine`` label.
+    #: Stable engine identifier, used as the snapshot ``engine`` key and
+    #: as the metrics ``engine`` label.
     machine_name = "twigm"
 
     def __init__(
@@ -171,6 +175,7 @@ class TwigM:
         tracker: "CandidateTracker | None" = None,
         eager: "bool | None" = None,
         limits: ResourceLimits | None = None,
+        metrics=None,
         *,
         emission: str = "default",
         lag_probe=None,
@@ -241,6 +246,7 @@ class TwigM:
         trunk.reverse()
         self._trunk = [(n, self._stacks[id(n)]) for n in trunk]
         self._trunk_ids = {id(n) for n in trunk}
+        self._init_counts(metrics)
 
     def _compile_plan(self, nodes) -> list:
         """Bind dispatch nodes to their runtime stacks, once."""
@@ -296,6 +302,7 @@ class TwigM:
         self._event_count = 0
         self._open_value_entries = 0
         self._trunk_dirty = False
+        self._discard_live()
 
     # -- checkpointing ---------------------------------------------------
 
@@ -320,11 +327,11 @@ class TwigM:
                     for entry in self._stacks[id(node)]
                 ]
             )
-        return {
+        return self._capture_counts({
             "stacks": stacks,
             "candidate_count": self._candidate_count,
             "event_count": self._event_count,
-        }
+        })
 
     def restore_state(self, state: dict) -> None:
         """Load a :meth:`snapshot_state` capture into this machine."""
@@ -352,6 +359,7 @@ class TwigM:
             for entry in stack
             if entry.text_parts is not None
         )
+        self._restore_counts(state)
         if self._detect:
             # ``stable`` is not snapshotted — it is recomputed from the
             # captured flag words, so captures taken by any mode restore
@@ -363,6 +371,9 @@ class TwigM:
                 for entry in self._stacks[id(node)]:
                     self._note_stable(node, entry)
             self._trunk_dirty = True
+
+    def _recount_live(self) -> int:
+        return self.total_stack_entries()
 
     # -- transition functions --------------------------------------------
 
@@ -379,6 +390,7 @@ class TwigM:
                 return
         if attributes is None:
             attributes = {}
+        counts = self.counts
         for node, stack, parent_stack in plan:
             condition = node.compiled_condition
             if condition is None:
@@ -392,6 +404,7 @@ class TwigM:
                 # branch/value outcome can satisfy the condition.
                 continue
             if parent_stack is None:
+                counts.edge_checks += 1
                 if not node.edge_satisfied(level):
                     continue
             elif not self._parent_edge_exists(node, parent_stack, level):
@@ -408,6 +421,10 @@ class TwigM:
                 if self._tracker is not None:
                     self._tracker.created(node_id)
             stack.append(entry)
+            counts.pushes += 1
+            live = counts.pushes - counts.pops - self._live_base
+            if live > counts.peak_entries:
+                counts.peak_entries = live
             if self._detect:
                 # Entries with no pending branch/value unknowns are
                 # stable at creation (e.g. predicate-free trunk nodes,
@@ -422,21 +439,27 @@ class TwigM:
         if added > 0 and self._limits is not None:
             self._limits.check("max_buffered_candidates", self._candidate_count)
 
-    @staticmethod
-    def _parent_edge_exists(node: MachineNode, parent_stack: list[StackEntry], level: int) -> bool:
-        """∃ e ∈ ξ(ρ(v)) with ζ(v)[1](l − e.level, ζ(v)[2]) — Algorithm 1, δs."""
+    def _parent_edge_exists(self, node: MachineNode, parent_stack: list[StackEntry], level: int) -> bool:
+        """∃ e ∈ ξ(ρ(v)) with ζ(v)[1](l − e.level, ζ(v)[2]) — Algorithm 1, δs.
+
+        Each parent entry probed counts one ``edge_check``.
+        """
+        counts = self.counts
         if not parent_stack:
+            counts.edge_checks += 1
             return False
         if node.edge_op == EDGE_EQ:
             target = level - node.edge_dist
             # Levels increase bottom-to-top; scan down from the top.
             for entry in reversed(parent_stack):
+                counts.edge_checks += 1
                 if entry.level == target:
                     return True
                 if entry.level < target:
                     return False
             return False
         # '>=': the bottom-most (smallest-level) entry decides existence.
+        counts.edge_checks += 1
         return parent_stack[0].level <= level - node.edge_dist
 
     def characters(self, text: str, level: int | None = None) -> None:
@@ -462,10 +485,12 @@ class TwigM:
             plan = self._miss_plan(tag)
             if not plan:
                 return
+        counts = self.counts
         for node, stack, parent_stack in plan:
             if not stack or stack[-1].level != level:
                 continue
             entry = stack.pop()
+            counts.pops += 1
             if entry.text_parts is not None:
                 self._open_value_entries -= 1
             if entry.candidates:
@@ -516,6 +541,7 @@ class TwigM:
         parent_stack: list[StackEntry],
     ) -> None:
         """Set β(node) and upload candidates on every qualifying parent entry."""
+        counts = self.counts
         bit = 1 << node.child_index
         detect = self._detect
         if node.edge_op == EDGE_EQ:
@@ -524,6 +550,9 @@ class TwigM:
             # ``target``; scan from the top, where recent levels live.
             for parent_entry in reversed(parent_stack):
                 if parent_entry.level == target:
+                    counts.flag_sets += 1
+                    if entry.candidates:
+                        counts.uploads += 1
                     parent_entry.flags |= bit
                     self._upload(parent_entry, entry)
                     if detect:
@@ -537,6 +566,9 @@ class TwigM:
             for parent_entry in parent_stack:
                 if parent_entry.level > threshold:
                     break
+                counts.flag_sets += 1
+                if entry.candidates:
+                    counts.uploads += 1
                 parent_entry.flags |= bit
                 self._upload(parent_entry, entry)
                 if detect:
@@ -565,9 +597,10 @@ class TwigM:
     def _emit_ids(self, candidates) -> None:
         """Emit a candidate set, reporting to the tracker.
 
-        Shared by the pop-time paths and the earliest flush so the
-        instrumented subclass can count emissions in one place.
+        Shared by the pop-time paths and the earliest flush, so emissions
+        are counted in one place.
         """
+        self.counts.emitted += len(candidates)
         self.sink.emit_all(sorted(candidates))
         tracker = self._tracker
         if tracker is not None:
@@ -684,29 +717,19 @@ class TwigM:
 
     # -- event-stream driving ---------------------------------------------
 
-    def as_handler(self):
-        """Push-pipeline adapter (:mod:`repro.core.push`).
-
-        Without resource limits the engine itself is the handler — its
-        transition methods *are* the callbacks, so
-        :meth:`~repro.stream.tokenizer.XmlTokenizer.feed_into` drives
-        δs/δe with zero indirection.  With limits, a counting wrapper
-        preserves the pull driver's per-event accounting.
-        """
-        if self._limits is None:
-            return self
-        return LimitCountingHandler(self)
-
     def feed(self, events: Iterable[Event]) -> None:
         """Process a batch of modified-SAX events."""
         limits = self._limits
+        counts = self.counts
         for event in events:
             if limits is not None:
                 self._event_count += 1
                 limits.check("max_total_events", self._event_count)
             if isinstance(event, StartElement):
+                counts.events += 1
                 self.start_element(event.tag, event.level, event.node_id, event.attributes)
             elif isinstance(event, EndElement):
+                counts.events += 1
                 self.end_element(event.tag, event.level)
             elif self._value_stacks:  # Characters
                 self.characters(event.text)

@@ -19,9 +19,7 @@ react to it, in four layers:
    ``python -m repro multiq`` CLI (:mod:`repro.multiq.cli`).
 
 Results are byte-identical to evaluating each query with its own
-:class:`~repro.core.processor.XPathStream`.  The older broadcast
-dispatcher :class:`repro.core.multiquery.MultiQueryStream` is now a thin
-deprecated shim over this engine.
+:class:`~repro.core.processor.XPathStream`.
 """
 
 from repro.multiq.canon import canonical_text, canonicalize, dedup_key

@@ -59,9 +59,8 @@ class DispatchStats:
     """Routing effectiveness counters for one engine.
 
     ``machine_events_broadcast`` is the counterfactual cost of the
-    broadcast dispatcher (every event × every registered query — what
-    ``repro.core.multiquery`` used to pay); ``machine_events_dispatched``
-    is what the router actually delivered.
+    broadcast dispatcher (every event × every registered query);
+    ``machine_events_dispatched`` is what the router actually delivered.
     """
 
     events: int
@@ -114,7 +113,7 @@ class MultiQueryEngine:
         :meth:`add_query` instead.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  When set,
-        every unit runs an instrumented machine (populating the
+        every unit's machine publishes its operation counters (the
         ``repro_machine_*`` families), the shared tokenizer publishes
         ``repro_tokenizer_*``, and the engine registers a collector for
         the ``repro_multiq_*`` families: total/dispatched/broadcast
@@ -378,6 +377,7 @@ class MultiQueryEngine:
             unit.sink.restore_state(sink_state)
         except (KeyError, TypeError, ValueError) as exc:
             self._registry.remove(name)
+            self._untrack(unit)
             raise CheckpointError(
                 f"cannot attach warm state for query {name!r}: {exc}"
             ) from exc
@@ -392,7 +392,25 @@ class MultiQueryEngine:
         if unit_dropped:
             self._router.remove(registration.unit)
             self._virgin_units.discard(registration.unit)
+            self._untrack(registration.unit)
         return registration
+
+    def _untrack(self, unit: EvalUnit) -> None:
+        """Stop publishing a dropped unit's machine counters (their final
+        values fold into the registry's retired totals)."""
+        if self._metrics is not None:
+            from repro.obs.machines import machine_publisher
+
+            machine_publisher(self._metrics).untrack(unit.engine)
+
+    def detach(self) -> None:
+        """Unhook this engine from a registry that outlives it: the
+        dispatcher collector goes, and every unit's machine counters
+        fold into the registry's retired totals."""
+        if self._metrics is not None:
+            self._metrics.remove_collector(self._sync_metrics)
+            for unit in self._registry.units():
+                self._untrack(unit)
 
     def _is_callback(self, per_query: "Callable[[int], None] | None") -> bool:
         return per_query is not None or self._on_match is not None
@@ -423,17 +441,17 @@ class MultiQueryEngine:
             if isinstance(event, StartElement):
                 units = router.units_for_tag(event.tag)
                 for unit in units:
-                    unit.engine.start_element(
+                    unit.handler.start_element(
                         event.tag, event.level, event.node_id, event.attributes
                     )
             elif isinstance(event, EndElement):
                 units = router.units_for_tag(event.tag)
                 for unit in units:
-                    unit.engine.end_element(event.tag, event.level)
+                    unit.handler.end_element(event.tag, event.level)
             else:  # Characters
                 units = router.text_units()
                 for unit in units:
-                    unit.engine.characters(event.text)
+                    unit.handler.characters(event.text, event.level)
             self._dispatched += len(units)
             limited = router.limited_units()
             if limited:
@@ -766,28 +784,12 @@ class _MultiQueryHandler(EventHandler):
     stream) are all identical — only the event objects are gone.
     """
 
-    __slots__ = (
-        "_engine", "_limited", "_limited_version",
-        "_turbo_safe", "_turbo_version",
-    )
+    __slots__ = ("_engine", "_turbo_safe", "_turbo_version")
 
     def __init__(self, engine: MultiQueryEngine):
         self._engine = engine
-        self._limited: list = []
-        self._limited_version = -1
         self._turbo_safe = False
         self._turbo_version = -1
-
-    def _limited_handlers(self) -> list:
-        """Per-unit handlers for the unfiltered path, rebuilt on
-        registration changes (keyed on the router's version counter)."""
-        router = self._engine._router
-        if self._limited_version != router.version:
-            self._limited = [
-                unit.engine.as_handler() for unit in router.limited_units()
-            ]
-            self._limited_version = router.version
-        return self._limited
 
     @property
     def turbo_scan_safe(self) -> bool:
@@ -800,8 +802,8 @@ class _MultiQueryHandler(EventHandler):
         accounting counts text events), and no registration delivers
         through a callback — user callbacks can register new,
         non-path queries *mid-chunk*, which the in-flight scan could
-        not serve.  Cached per router version, like the limited-handler
-        list: live add/remove re-evaluates at the next chunk boundary.
+        not serve.  Cached per router version: live add/remove
+        re-evaluates at the next chunk boundary.
         """
         engine = self._engine
         router = engine._router
@@ -827,15 +829,15 @@ class _MultiQueryHandler(EventHandler):
         router = engine._router
         units = router.units_for_tag(tag)
         for unit in units:
-            unit.engine.start_element(tag, level, node_id, attributes)
+            unit.handler.start_element(tag, level, node_id, attributes)
         engine._dispatched += len(units)
-        limited = self._limited_handlers()
+        limited = router.limited_units()
         if limited:
-            for handler in limited:
-                handler.start_element(tag, level, node_id, attributes)
+            for unit in limited:
+                unit.handler.start_element(tag, level, node_id, attributes)
             engine._dispatched += len(limited)
         if engine._virgin_units:
-            engine._touch(units, router.limited_units())
+            engine._touch(units, limited)
 
     def characters(self, text, level) -> None:
         engine = self._engine
@@ -844,15 +846,15 @@ class _MultiQueryHandler(EventHandler):
         router = engine._router
         units = router.text_units()
         for unit in units:
-            unit.engine.characters(text, level)
+            unit.handler.characters(text, level)
         engine._dispatched += len(units)
-        limited = self._limited_handlers()
+        limited = router.limited_units()
         if limited:
-            for handler in limited:
-                handler.characters(text, level)
+            for unit in limited:
+                unit.handler.characters(text, level)
             engine._dispatched += len(limited)
         if engine._virgin_units:
-            engine._touch(units, router.limited_units())
+            engine._touch(units, limited)
 
     def end_element(self, tag, level) -> None:
         engine = self._engine
@@ -861,12 +863,12 @@ class _MultiQueryHandler(EventHandler):
         router = engine._router
         units = router.units_for_tag(tag)
         for unit in units:
-            unit.engine.end_element(tag, level)
+            unit.handler.end_element(tag, level)
         engine._dispatched += len(units)
-        limited = self._limited_handlers()
+        limited = router.limited_units()
         if limited:
-            for handler in limited:
-                handler.end_element(tag, level)
+            for unit in limited:
+                unit.handler.end_element(tag, level)
             engine._dispatched += len(limited)
         if engine._virgin_units:
-            engine._touch(units, router.limited_units())
+            engine._touch(units, limited)

@@ -62,11 +62,15 @@ class EvalUnit:
 
     Carries the router-facing interest analysis
     (:func:`~repro.multiq.router.machine_alphabet`) as plain attributes
-    so the dispatch hot loop touches no indirection.
+    so the dispatch hot loop touches no indirection.  ``handler`` is the
+    engine's push adapter (``engine.as_handler()``): the bare engine
+    unless the unit has limits or publishes metrics, when it is the
+    :class:`~repro.core.push.AccountingHandler` the dispatcher must
+    deliver through.
     """
 
     __slots__ = (
-        "tree", "limits", "sink", "engine", "emission",
+        "tree", "limits", "sink", "engine", "handler", "emission",
         "interest", "wants_all", "wants_text", "routable", "virgin", "tracked",
     )
 
@@ -116,18 +120,9 @@ class EvalUnit:
                 # Emissions flow through the probe so it can pair each
                 # result's provable point with its emission point.
                 engine_sink = lag_probe.wrap_sink(self.sink)
-        if engine_class.machine_name == "dfa":
-            self.engine = engine_class(tree, sink=engine_sink, limits=limits,
-                                       metrics=metrics)
-        elif metrics is None:
-            self.engine = engine_class(tree, sink=engine_sink, limits=limits,
-                                       **kwargs)
-        else:
-            from repro.obs.machines import OBS_ENGINES_BY_NAME
-
-            obs_class = OBS_ENGINES_BY_NAME[engine_class.machine_name]
-            self.engine = obs_class(tree, sink=engine_sink, limits=limits,
-                                    metrics=metrics, **kwargs)
+        self.engine = engine_class(tree, sink=engine_sink, limits=limits,
+                                   metrics=metrics, **kwargs)
+        self.handler = self.engine.as_handler()
         self.interest, self.wants_all, self.wants_text = machine_alphabet(
             self.engine.machine
         )
@@ -149,13 +144,8 @@ class EvalUnit:
 
     @property
     def engine_name(self) -> str:
-        """Which machine evaluates this unit: pathm, branchm or twigm.
-
-        Instrumented subclasses report their base engine's name, so
-        snapshots restore onto either variant.
-        """
-        return getattr(type(self.engine), "machine_name",
-                       type(self.engine).__name__.lower())
+        """Which machine evaluates this unit: pathm, branchm, twigm or dfa."""
+        return self.engine.machine_name
 
     @property
     def names(self) -> list[str]:

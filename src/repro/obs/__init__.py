@@ -10,23 +10,24 @@ every layer of the system:
 * :mod:`repro.obs.trace` — :class:`Tracer`, a lightweight span recorder
   (monotonic timestamps) dumpable as Chrome ``trace_event`` JSON for
   ``about:tracing`` / Perfetto.
-* :mod:`repro.obs.machines` — :class:`ObsPathM` / :class:`ObsBranchM` /
-  :class:`ObsTwigM`, the production engines with per-operation counters
-  (pushes, pops, edge checks, peak live stack entries — the operations
-  Theorem 4.4 bounds).
+* :mod:`repro.obs.machines` — the publisher that syncs the machines'
+  own operation counters (:mod:`repro.core.counts`: pushes, pops, edge
+  checks, peak live stack entries — the operations Theorem 4.4 bounds)
+  into the ``repro_machine_*`` families at scrape time.
 * :mod:`repro.obs.stats` — the ``python -m repro stats`` runner: one
   evaluation with every metric family populated, plus per-chunk
   parse → route+dispatch → emit trace spans.
 
-The cardinal design rule is that **instrumentation is opt-in by
-construction, not by branching**: passing ``metrics=`` to
+The cardinal design rule is that **publishing is opt-in and read at
+scrape time**: the machines' counters are plain integer increments that
+are always on, and passing ``metrics=`` to
 :class:`~repro.core.processor.XPathStream`,
 :class:`~repro.multiq.engine.MultiQueryEngine`,
 :class:`~repro.stream.tokenizer.XmlTokenizer`, or
-:class:`~repro.perf.pipeline.PushPipeline` swaps in the instrumented
-machine subclasses; without it the plain classes run and the hot loops
-contain no metrics checks at all.  ``ci/obs_smoke.py`` gates that the
-disabled path stays within 5% of the recorded push-throughput baseline.
+:class:`~repro.perf.pipeline.PushPipeline` attaches the publishers;
+without it the push handler is the bare engine and no per-event metrics
+code runs.  ``ci/obs_smoke.py`` gates that the disabled path stays
+within 5% of the recorded push-throughput baseline.
 
 Example::
 
@@ -39,12 +40,6 @@ Example::
     print(registry.render_prometheus())
 """
 
-from repro.obs.machines import (
-    ObsBranchM,
-    ObsPathM,
-    ObsTwigM,
-    OperationCounts,
-)
 from repro.obs.metrics import (
     NULL_REGISTRY,
     Counter,
@@ -62,9 +57,5 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
-    "ObsBranchM",
-    "ObsPathM",
-    "ObsTwigM",
-    "OperationCounts",
     "Tracer",
 ]

@@ -228,11 +228,7 @@ class StreamTransform(EventHandler):
         query name; the engine restore re-attaches them to the rebuilt
         units.
         """
-        old = self._engine
-        if self._metrics is not None:
-            sync = getattr(old, "_sync_metrics", None)
-            if sync is not None:
-                self._metrics.remove_collector(sync)
+        self._engine.detach()
         self._engine = MultiQueryEngine.restore(
             payload, metrics=self._metrics, trackers=self._trackers
         )
@@ -365,9 +361,7 @@ class StreamTransform(EventHandler):
     def detach(self) -> None:
         """Unhook metrics collectors (long-lived registries)."""
         if self._metrics is not None:
-            sync = getattr(self._engine, "_sync_metrics", None)
-            if sync is not None:
-                self._metrics.remove_collector(sync)
+            self._engine.detach()
             own = getattr(self, "_sync_metrics", None)
             if own is not None:
                 self._metrics.remove_collector(own)

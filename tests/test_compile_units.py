@@ -23,7 +23,6 @@ from repro.core.processor import XPathStream
 from repro.core.twigm import TwigM
 from repro.errors import UnsupportedQueryError
 from repro.multiq.engine import MultiQueryEngine
-from repro.obs.machines import ObsBranchM, ObsPathM, ObsTwigM
 from repro.obs.metrics import MetricsRegistry
 from repro.xpath.querytree import compile_query
 
@@ -151,11 +150,11 @@ SELECTION = [
     ("//a/b", None, False, DfaPathM),
     ("//a/b", None, True, DfaPathM),
     ("//a/b", "pathm", False, PathM),
-    ("//a/b", "pathm", True, ObsPathM),
+    ("//a/b", "pathm", True, PathM),
     ("/a[b]/c", None, False, BranchM),
-    ("/a[b]/c", None, True, ObsBranchM),
+    ("/a[b]/c", None, True, BranchM),
     ("//a[b]/c", None, False, TwigM),
-    ("//a[b]/c", None, True, ObsTwigM),
+    ("//a[b]/c", None, True, TwigM),
 ]
 
 #: ``XPathStream("//a[b]/c", compiled=True).snapshot()`` taken by the

@@ -49,10 +49,10 @@ class TestTreebankCorpus:
     def test_multimatch_pressure(self):
         """A node under k nested S's participates in ~k //S//NN matches —
         the corpus really does generate heavy multi-match load."""
-        from repro.obs.machines import ObsTwigM
+        from repro.core.twigm import TwigM
 
         events = list(treebank_events(60))
-        machine = ObsTwigM("//S[NP]//VP//NN")
+        machine = TwigM("//S[NP]//VP//NN")
         machine.feed(iter(events))
         assert machine.counts.peak_entries > 10
         assert machine.results
