@@ -1,10 +1,10 @@
 """Ablation — shared-automaton filtering vs. per-query machines.
 
 The YFilter insight the related work cites: with N standing path
-queries, per-event work should not grow ~N.  The shared automaton pays
-one cached DFA transition per event; N separate PathM machines pay N
-dispatches.  This bench measures both at growing N and asserts the
-scaling gap.
+queries, per-event work should not grow ~N.  Multiq's shared path tier
+pays one cached DFA transition per delivered event for all N queries;
+N separate streams (one :class:`XPathStream` per query) pay N passes.
+This bench measures both at growing N and asserts the scaling gap.
 """
 
 import random
@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.core.filtering import PathFilterSet
+from repro.core.processor import XPathStream
 from repro.multiq.engine import MultiQueryEngine
 from repro.stream.tokenizer import parse_string
 
@@ -40,15 +40,23 @@ def events(book_corpus):
     return list(book_corpus.events())
 
 
+def shared_pass(engine: MultiQueryEngine, events) -> dict[str, list[int]]:
+    """One pass of a standing engine (its DFA cache survives reset)."""
+    engine.reset()
+    engine.feed_events(iter(events))
+    return engine.results()
+
+
 @pytest.mark.benchmark(group="ablation-filtering")
 @pytest.mark.parametrize("n_queries", [10, 50, 200])
 def test_shared_automaton(benchmark, n_queries, events):
     queries = query_set(n_queries)
-    filters = PathFilterSet(queries)
-    results = benchmark(lambda: filters.run(iter(events)))
+    engine = MultiQueryEngine(queries)
+    results = benchmark(lambda: shared_pass(engine, events))
+    dfa = engine.registration("q0").unit.engine
     benchmark.extra_info.update(
         n_queries=n_queries,
-        dfa_states=filters.state_count,
+        dfa_states=dfa.dfa_state_count,
         total_matches=sum(len(ids) for ids in results.values()),
     )
 
@@ -59,9 +67,10 @@ def test_per_query_machines(benchmark, n_queries, events):
     queries = query_set(n_queries)
 
     def run():
-        feed = MultiQueryEngine(queries)
-        feed.feed_events(iter(events))
-        return feed.results()
+        return {
+            name: XPathStream(query).evaluate(iter(events))
+            for name, query in queries.items()
+        }
 
     results = benchmark(run)
     benchmark.extra_info.update(
@@ -76,11 +85,11 @@ def test_shared_scales_sublinearly_in_query_count(benchmark, events):
     far below the 20x a per-query design pays."""
 
     def timed(n: int) -> float:
-        filters = PathFilterSet(query_set(n))
+        engine = MultiQueryEngine(query_set(n))
         best = float("inf")
         for _ in range(3):
             started = time.perf_counter()
-            filters.run(iter(events))
+            shared_pass(engine, events)
             best = min(best, time.perf_counter() - started)
         return best
 
@@ -98,10 +107,12 @@ def test_shared_agrees_with_per_query(benchmark, events):
     queries = query_set(25)
 
     def compare():
-        shared = PathFilterSet(queries).run(iter(events))
-        feed = MultiQueryEngine(queries)
-        feed.feed_events(iter(events))
-        return shared, feed.results()
+        shared = MultiQueryEngine(queries).evaluate(iter(events))
+        individual = {
+            name: XPathStream(query).evaluate(iter(events))
+            for name, query in queries.items()
+        }
+        return shared, individual
 
     shared, individual = benchmark.pedantic(compare, rounds=1, iterations=1)
     for name in queries:

@@ -7,6 +7,10 @@ Checks the two acceptance properties of the shared dispatch engine:
    :class:`repro.core.processor.XPathStream` (the broadcast oracle).
 2. **Routing win** — the alphabet router delivers at least 5x fewer
    machine events than broadcast would on the 1000-query workload.
+3. **One shared path tier** — every predicate-free query of the workload
+   is a trunk of one lazy-DFA unit, and that DFA stayed a DFA: it did
+   not fall back to interpreted PathM and built at most
+   ``DEFAULT_STATE_CAP`` states.
 
 It then runs the full 10/100/1000 scaling benchmark and writes
 ``BENCH_multiq.json`` so the perf trajectory is recorded per commit.
@@ -21,6 +25,7 @@ from __future__ import annotations
 import sys
 
 from repro.bench.multiq import multiq_workload, run_benchmark, write_report
+from repro.compile.dfa import DEFAULT_STATE_CAP
 from repro.core.processor import XPathStream
 from repro.datasets.xmark import xmark_events
 from repro.multiq.engine import MultiQueryEngine
@@ -70,6 +75,36 @@ def main() -> int:
         print(
             f"FAIL: dispatch reduction {stats.reduction:.2f}x is below the "
             f"{MIN_REDUCTION:.0f}x target",
+            file=sys.stderr,
+        )
+        return 1
+
+    path_units = {
+        id(engine.registration(name).unit)
+        for name, kind in engine.engine_names().items() if kind == "dfa"
+    }
+    path_queries = [
+        name for name in queries
+        if not engine.registration(name).tree.has_branches()
+    ]
+    if len(path_units) != 1 or len(path_queries) != sum(
+        kind == "dfa" for kind in engine.engine_names().values()
+    ):
+        print(
+            f"FAIL: {len(path_queries)} path queries run on "
+            f"{len(path_units)} DFA units, not one shared unit",
+            file=sys.stderr,
+        )
+        return 1
+    dfa = engine.registration(path_queries[0]).unit.engine
+    print(
+        f"  {len(path_queries)} path queries share one DFA: "
+        f"{dfa.trunk_count} trunks, {dfa.dfa_state_count} states"
+    )
+    if dfa.fell_back or dfa.dfa_state_count > DEFAULT_STATE_CAP:
+        print(
+            f"FAIL: the shared DFA fell back or exceeded {DEFAULT_STATE_CAP} "
+            f"states ({dfa.dfa_state_count})",
             file=sys.stderr,
         )
         return 1

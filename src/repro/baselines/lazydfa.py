@@ -27,10 +27,6 @@ from repro.compile.nfa import LazyDfa, Step, subset_step, trunk_steps
 from repro.core.results import CollectingSink, ResultSink
 from repro.stream.events import EndElement, Event, StartElement
 
-# Backwards-compatible aliases for the pre-promotion private names.
-_Step = Step
-_trunk_steps = trunk_steps
-
 __all__ = ["LazyDfa", "LazyDfaEngine", "Step", "subset_step", "trunk_steps"]
 
 

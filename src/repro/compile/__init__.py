@@ -6,7 +6,9 @@ predicate-free XP{/,//,*} queries with an XMLTK-style
 lazily-determinised automaton (:class:`DfaPathM`).  States materialise
 only for tag sequences that occur in the data, per-event work is one
 dict lookup, and a state-count cap falls back to interpreted PathM when
-wildcard blow-up threatens.  Queries with predicates run the same
+wildcard blow-up threatens.  One :class:`DfaPathM` can also run many path
+queries as the trunks of one automaton: :mod:`repro.multiq`'s shared path
+tier.  Queries with predicates run the same
 interpreted BranchM/TwigM as with ``compiled=False`` — δs/δe of
 Algorithm 1 have exactly one implementation per machine.
 

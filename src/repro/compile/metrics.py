@@ -4,7 +4,8 @@ Mirrors :mod:`repro.obs.machines`: one :class:`CompileMetricsPublisher`
 per registry (see :func:`compile_publisher`), holding the tracked
 :class:`~repro.compile.dfa.DfaPathM` engines and registering a single
 collector that syncs the engines' authoritative internal counters
-into the registry on every render/snapshot/tick.
+into the registry on every render/snapshot/tick.  Owners untrack the
+engines they drop; their final counters fold into retired totals.
 
 Zero cost when off by construction: engines only *import* this module
 when constructed with a ``metrics`` registry, the hot paths touch plain
@@ -34,13 +35,15 @@ class CompileMetricsPublisher:
     """Syncs lazy-DFA counters into ``repro_compile_*`` families.
 
     One publisher per registry (see :func:`compile_publisher`).  The
-    publisher holds strong references to tracked engines; a registry is
-    expected to live exactly as long as the pipeline it monitors.
+    ``_total`` families sum tracked and retired engines; the state and
+    transition gauges cover tracked engines only.
     """
 
     def __init__(self, registry):
         self.registry = registry
-        self._engines: list = []
+        self._engines: dict[int, object] = {}
+        #: Counter totals of untracked engines.
+        self._retired = {"starts": 0, "misses": 0, "fallbacks": 0}
         self._states = registry.gauge(
             "repro_compile_dfa_states",
             "DFA states currently materialised (summed over engines).",
@@ -69,17 +72,31 @@ class CompileMetricsPublisher:
 
     def track(self, engine):
         """Start publishing ``engine``'s counters (idempotent)."""
-        if all(existing is not engine for existing in self._engines):
-            self._engines.append(engine)
+        self._engines[id(engine)] = engine
         return engine
+
+    def untrack(self, engine) -> None:
+        """Stop publishing ``engine``; its counters join the retired totals.
+
+        Unknown engines are ignored, so owners may call this for any
+        engine they drop.
+        """
+        if self._engines.pop(id(engine), None) is None:
+            return
+        self._retired["starts"] += engine._starts
+        self._retired["misses"] += engine._misses
+        self._retired["fallbacks"] += engine._fallbacks
 
     @property
     def engines(self) -> list:
-        return list(self._engines)
+        return list(self._engines.values())
 
     def _collect(self) -> None:
-        states = transitions = starts = misses = fallbacks = 0
-        for engine in self._engines:
+        states = transitions = 0
+        starts = self._retired["starts"]
+        misses = self._retired["misses"]
+        fallbacks = self._retired["fallbacks"]
+        for engine in self._engines.values():
             states += engine.dfa_state_count
             transitions += engine.dfa_transition_count
             starts += engine._starts

@@ -16,6 +16,11 @@ matched".  On an element with tag ``t``, from position-set ``S``::
 Reaching a set containing the accept position (= the number of trunk
 steps) means the element is a solution; output is immediate, as in
 PathM.
+
+Several trunks share one position space by concatenation: each trunk's
+steps are followed by a ``None`` entry at its accept position, which
+neither advances nor stays, so one subset construction runs every trunk
+at once (YFilter's shared automaton).
 """
 
 from __future__ import annotations
@@ -53,13 +58,19 @@ def trunk_steps(query: QueryTree) -> list[Step]:
 
 
 def subset_step(
-    steps: list[Step], accept: int, state: Iterable[int], tag: str
+    steps: "list[Step | None]", accept: int, state: Iterable[int], tag: str
 ) -> frozenset[int]:
-    """One uncached subset-construction transition: ``δ(state, tag)``."""
+    """One uncached subset-construction transition: ``δ(state, tag)``.
+
+    ``steps`` may be several trunks laid end to end, each closed by a
+    ``None`` at its accept position; ``accept`` is then ``len(steps)``.
+    """
     nxt: set[int] = set()
     for position in state:
         if position < accept:
             following = steps[position]
+            if following is None:
+                continue
             if following.admits(tag):
                 nxt.add(position + 1)
             if following.descendant:

@@ -6,7 +6,8 @@ to the machines that can react to it:
 
 * identical queries (structural equality, equal limits) share one
   machine with multiplexed result sinks (:mod:`repro.multiq.canon`,
-  :mod:`repro.multiq.registry`);
+  :mod:`repro.multiq.registry`), and every predicate-free query without
+  per-query limits is a trunk of one shared lazy DFA, the path tier;
 * events are dispatched through an inverted tag index
   (:mod:`repro.multiq.router`), so per-event work is proportional to the
   number of *interested* machines, not the number of registered queries;
@@ -50,8 +51,10 @@ from repro.stream.recovery import RecoveryPolicy, ResourceLimits, StreamDiagnost
 from repro.stream.tokenizer import XmlTokenizer, events_from, iter_text_chunks
 from repro.xpath.querytree import QueryTree
 
-#: Version of the dispatcher snapshot schema.
-MULTIQ_SNAPSHOT_VERSION = 1
+#: Version of the dispatcher snapshot schema.  Version 2 records the
+#: trunk grouping of path-tier units; version 1 captures still restore.
+MULTIQ_SNAPSHOT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,19 +121,33 @@ class MultiQueryEngine:
         ``repro_tokenizer_*``, and the engine registers a collector for
         the ``repro_multiq_*`` families: total/dispatched/broadcast
         event counts, query and unit gauges, the router hit ratio, and
-        per-query emitted counts (labelled ``query="name"``).
-    compiled:
-        Run predicate-free path units on the :mod:`repro.compile`
-        lazy-DFA front-end (:class:`~repro.compile.dfa.DfaPathM` —
-        shared across deduped registrations like any unit, riding the
-        router's wants-all path because the DFA's depth tracking needs
-        every element event); every other unit runs the same engine as
-        with ``compiled=False``.  Results are bit-for-bit identical to
-        the interpreted engines.  When every registered unit is
-        turbo-safe, the push path (:meth:`feed_text_push` /
-        :meth:`evaluate_push`) additionally engages the query-aware
-        turbo scanner (:mod:`repro.compile.scan`); eligibility is
-        re-checked per chunk, keyed on the router's version counter.
+        per-query emitted counts (labelled ``query="name"``).  The path
+        tier's DFA publishes the ``repro_compile_*`` families instead of
+        ``repro_machine_*``.
+
+    **The shared path tier.**  Every predicate-free query registered
+    without per-query limits, tracker or lag probe becomes a trunk of
+    one :class:`~repro.compile.dfa.DfaPathM` (identical queries share a
+    trunk), so all of them advance together by one cached DFA transition
+    per delivered event, the way filtering systems such as YFilter run
+    large path-query sets.  The unit is routed on the union of its
+    trunks' tags (every tag when a trunk has a ``'*'`` step), fills
+    levels the router skipped with the step an unnamed tag takes, and
+    falls back to one interpreted PathM per trunk past the DFA state
+    cap.  Results equal a separate :class:`XPathStream` per query.  A
+    path query added after the tier's unit has seen events, or a ``'*'``
+    path query added mid-stream, starts a new path-tier unit.  When every unit is turbo-safe (a path-only query
+    set without callbacks), the push path (:meth:`feed_text_push` /
+    :meth:`evaluate_push`) engages the query-aware turbo scanner
+    (:mod:`repro.compile.scan`); eligibility is re-checked per chunk,
+    keyed on the router's version counter.
+
+    **Result order.**  Each query's results arrive in document order,
+    exactly as from its own :class:`XPathStream`.  Across queries, the
+    results one event produces are delivered unit by unit in the order
+    the units were created; within the path tier's unit, trunk by trunk
+    in the order each trunk's first query was registered; within one
+    machine or trunk, in registration order.
     """
 
     def __init__(
@@ -142,7 +159,6 @@ class MultiQueryEngine:
         on_diagnostic: "Callable[[StreamDiagnostic], None] | None" = None,
         limits: ResourceLimits | None = None,
         metrics=None,
-        compiled: bool = False,
     ):
         self._registry = QueryRegistry()
         self._router = AlphabetRouter()
@@ -151,7 +167,6 @@ class MultiQueryEngine:
         self._on_diagnostic = on_diagnostic
         self._limits = limits
         self._metrics = metrics
-        self._compiled = bool(compiled)
         self._tokenizer: XmlTokenizer | None = None
         self._handler: "_MultiQueryHandler | None" = None
         self._virgin_units: set[EvalUnit] = set()
@@ -325,13 +340,15 @@ class MultiQueryEngine:
             callback=self._is_callback(on_match),
             metrics=self._metrics,
             tracker=tracker,
-            compiled=self._compiled,
             emission=emission,
             lag_probe=lag_probe,
+            mid_stream=self._events > 0,
         )
         if created is not None:
             self._router.add(created)
             self._virgin_units.add(created)
+        elif registration.unit.trunks is not None:
+            self._router.invalidate()  # the trunks' alphabet may have grown
         return registration
 
     def attach_warm(
@@ -369,7 +386,6 @@ class MultiQueryEngine:
             callback=self._is_callback(on_match),
             share=False,
             metrics=self._metrics,
-            compiled=self._compiled,
         )
         unit = created if created is not None else registration.unit
         try:
@@ -393,12 +409,20 @@ class MultiQueryEngine:
             self._router.remove(registration.unit)
             self._virgin_units.discard(registration.unit)
             self._untrack(registration.unit)
+        elif registration.unit.trunks is not None:
+            self._router.invalidate()  # a trunk may have gone
         return registration
 
     def _untrack(self, unit: EvalUnit) -> None:
         """Stop publishing a dropped unit's machine counters (their final
         values fold into the registry's retired totals)."""
-        if self._metrics is not None:
+        if self._metrics is None:
+            return
+        if unit.engine_name == "dfa":
+            from repro.compile.metrics import compile_publisher
+
+            compile_publisher(self._metrics).untrack(unit.engine)
+        else:
             from repro.obs.machines import machine_publisher
 
             machine_publisher(self._metrics).untrack(unit.engine)
@@ -609,7 +633,6 @@ class MultiQueryEngine:
         """
         return {
             "version": MULTIQ_SNAPSHOT_VERSION,
-            "compiled": self._compiled,
             "policy": self._policy.value,
             "limits": self._limits.to_dict() if self._limits is not None else None,
             "queries": [
@@ -627,16 +650,7 @@ class MultiQueryEngine:
                 }
                 for registration in self._registry.registrations()
             ],
-            "units": [
-                {
-                    "queries": unit.names,
-                    "engine": unit.engine_name,
-                    "virgin": unit.virgin,
-                    "machine": unit.engine.snapshot_state(),
-                    "sinks": unit.sink.snapshot_state(),
-                }
-                for unit in self._registry.units()
-            ],
+            "units": [_unit_payload(unit) for unit in self._registry.units()],
             "tokenizer": (
                 self._tokenizer.snapshot() if self._tokenizer is not None else None
             ),
@@ -671,10 +685,10 @@ class MultiQueryEngine:
         totals as an uninterrupted run.
         """
         version = snapshot.get("version")
-        if version != MULTIQ_SNAPSHOT_VERSION:
+        if version not in _READABLE_VERSIONS:
             raise CheckpointError(
                 f"unsupported multiq snapshot version {version!r} "
-                f"(expected {MULTIQ_SNAPSHOT_VERSION})"
+                f"(expected one of {_READABLE_VERSIONS})"
             )
         try:
             engine = cls(
@@ -683,7 +697,6 @@ class MultiQueryEngine:
                 on_diagnostic=on_diagnostic,
                 limits=ResourceLimits.from_dict(snapshot.get("limits")),
                 metrics=metrics,
-                compiled=bool(snapshot.get("compiled", False)),
             )
             engine._restore_queries(snapshot, trackers or {})
             stats = snapshot.get("stats", {})
@@ -702,9 +715,14 @@ class MultiQueryEngine:
         return engine
 
     def _restore_queries(self, snapshot: dict, trackers: Mapping) -> None:
-        """Rebuild units and registrations, preserving grouping and order."""
+        """Rebuild units and registrations, preserving grouping and order.
+
+        A path-tier unit lists its trunks (``"trunks"``: member names per
+        trunk, in trunk order); other units, and version-1 captures, hold
+        one query.  Version-1 ``compiled`` captures' per-query ``dfa``
+        units restore as single-trunk path-tier units.
+        """
         from repro.multiq.canon import canonicalize
-        from repro.xpath.querytree import compile_query
 
         payloads = {payload["name"]: payload for payload in snapshot["queries"]}
         pending: dict[str, tuple[Registration, bool]] = {}
@@ -712,27 +730,40 @@ class MultiQueryEngine:
             members = unit_payload["queries"]
             if not members:
                 raise CheckpointError("multiq snapshot unit with no queries")
+            groups = unit_payload.get("trunks", [members])
+            leaders = {member: group[0] for group in groups for member in group}
+            trees = {member: canonicalize(payloads[member]["query"])
+                     for member in members}
             first = payloads[members[0]]
             limits = ResourceLimits.from_dict(first.get("limits"))
-            tree = canonicalize(first["query"])
             tracked = bool(first.get("tracked", False))
-            emission = first.get("emission", "default")
-            unit = EvalUnit(tree, limits, engine_name=unit_payload["engine"],
+            if sorted(leaders) != sorted(members):
+                raise CheckpointError(
+                    "multiq snapshot trunks do not match the unit's queries"
+                )
+            unit = EvalUnit(trees[groups[0][0]], limits,
+                            engine_name=unit_payload["engine"],
                             metrics=self._metrics,
                             tracker=trackers.get(members[0]) if tracked else None,
-                            compiled=self._compiled,
-                            emission=emission)
+                            emission=first.get("emission", "default"))
+            if unit.trunks is None and len(groups) != 1:
+                raise CheckpointError(
+                    f"multiq snapshot gives a {unit.engine_name} unit trunks"
+                )
+            for group in groups[1:]:
+                unit.trunk_for(trees[group[0]])
             unit.tracked = tracked
             unit.virgin = bool(unit_payload.get("virgin", False))
-            for index, member in enumerate(members):
+            for member in members:
                 payload = payloads[member]
-                if index and compile_query(payload["query"]) != tree:
+                tree = trees[member]
+                if tree != trees[leaders[member]]:
                     raise CheckpointError(
                         f"multiq snapshot groups {member!r} with a machine "
                         f"for a different query"
                     )
-                sink = self._restored_sink(member, bool(payload["callback"]))
-                unit.sink.add(member, sink)
+                unit.join(member, tree,
+                          self._restored_sink(member, bool(payload["callback"])))
                 pending[member] = (
                     Registration(
                         name=member,
@@ -772,6 +803,20 @@ class MultiQueryEngine:
             on_match(_name, node_id)
 
         return CallbackSink(forward)
+
+
+def _unit_payload(unit: EvalUnit) -> dict:
+    """One unit's share of a dispatcher snapshot."""
+    payload = {
+        "queries": unit.names,
+        "engine": unit.engine_name,
+        "virgin": unit.virgin,
+        "machine": unit.engine.snapshot_state(),
+        "sinks": unit.sink.snapshot_state(),
+    }
+    if unit.trunks is not None:
+        payload["trunks"] = [list(trunk.sinks) for trunk in unit.trunks.values()]
+    return payload
 
 
 class _MultiQueryHandler(EventHandler):

@@ -4,8 +4,8 @@ The contract under test is the ISSUE-9 acceptance bar: for every query
 class the compiled tier (lazy-DFA front-end plus turbo scanner) must be
 **bit-for-bit** equivalent to the interpreted machines — same solution
 ids, same order, same snapshots — across 200+ seeded documents,
-mid-stream checkpointing, state-cap fallback, and multiq live
-add/remove.
+mid-stream checkpointing, state-cap fallback, and multiq's shared path
+tier with live add/remove.
 
 Documents are produced by a deterministic seeded generator (no
 Hypothesis shrinking here: the point is breadth at a fixed, replayable
@@ -21,6 +21,8 @@ import pytest
 
 from repro.core.processor import XPathStream
 from repro.multiq import MultiQueryEngine
+from repro.stream.recovery import ResourceLimits
+from repro.stream.tokenizer import XmlTokenizer
 
 # -- seeded document corpus --------------------------------------------------
 
@@ -208,7 +210,7 @@ def test_state_cap_fallback_counts_and_survives_snapshot():
     assert resumed.close() == reference
 
 
-# -- multiq: compiled units, dedup, live add/remove --------------------------
+# -- multiq: the shared path tier, dedup, live add/remove --------------------
 
 MULTI_QUERIES = {
     "pf1": "//a//b",
@@ -219,16 +221,23 @@ MULTI_QUERIES = {
 }
 
 
+def _separate(doc: str) -> dict:
+    return {name: XPathStream(q).evaluate(doc) for name, q in MULTI_QUERIES.items()}
+
+
 @pytest.mark.parametrize("seed", range(0, 100, 5))
 def test_multiq_compiled_matches_interpreted(seed):
+    """Multiq's path tier (one lazy DFA for every predicate-free query)
+    equals interpreted evaluation of each query on its own."""
     doc = make_document(seed)
-    reference = MultiQueryEngine(MULTI_QUERIES).evaluate(doc)
-    compiled = MultiQueryEngine(MULTI_QUERIES, compiled=True)
-    assert compiled.evaluate_push(doc) == reference
-    # Dedup must share compiled units exactly as interpreted ones.
-    assert compiled.unit_count() == MultiQueryEngine(MULTI_QUERIES).unit_count()
-    engines = compiled.engine_names()
-    assert engines["pf1"] == engines["pf1_dup"] == "dfa"
+    reference = _separate(doc)
+    assert MultiQueryEngine(MULTI_QUERIES).evaluate_push(doc) == reference
+    engine = MultiQueryEngine(MULTI_QUERIES)
+    assert engine.evaluate(doc) == reference
+    # Every path query shares the one DFA unit; the twig has its own.
+    assert engine.unit_count() == 2
+    engines = engine.engine_names()
+    assert engines["pf1"] == engines["pf1_dup"] == engines["wild"] == "dfa"
     assert engines["pred"] == "twigm"
 
 
@@ -237,32 +246,40 @@ def test_multiq_live_add_remove_compiled(seed):
     doc = make_document(seed)
     chunks = [doc[i:i + 41] for i in range(0, len(doc), 41)]
     third = max(1, len(chunks) // 3)
-
-    def run(compiled: bool):
-        engine = MultiQueryEngine({"base": "//a//b"}, compiled=compiled)
-        for index, chunk in enumerate(chunks):
-            if index == third:
-                engine.add_query("late", "//c")
-            if index == 2 * third:
-                engine.remove_query("base")
-            engine.feed_text_push(chunk)
-        return engine.close()
-
-    assert run(True) == run(False)
+    engine = MultiQueryEngine({"base": "//a//b"})
+    for index, chunk in enumerate(chunks):
+        if index == third:
+            engine.add_query("late", "//c")
+        if index == 2 * third:
+            engine.remove_query("base")
+        engine.feed_text_push(chunk)
+    results = engine.close()
+    if len(chunks) <= third:  # too short for the late query to join
+        assert results == {"base": XPathStream("//a//b").evaluate(doc)}
+        return
+    # The late query evaluates the events from its chunk boundary on,
+    # as a fresh stream would.
+    tokenizer = XmlTokenizer()
+    for chunk in chunks[:third]:
+        list(tokenizer.feed(chunk))
+    rest = [event for chunk in chunks[third:] for event in tokenizer.feed(chunk)]
+    expected = {"late": XPathStream("//c").evaluate(iter(rest))}
+    if len(chunks) <= 2 * third:  # "base" was never removed
+        expected["base"] = XPathStream("//a//b").evaluate(doc)
+    assert results == expected
 
 
 @pytest.mark.parametrize("seed", range(0, 60, 6))
 def test_multiq_compiled_snapshot_restore(seed):
     doc = make_document(seed)
-    reference = MultiQueryEngine(MULTI_QUERIES).evaluate(doc)
+    reference = _separate(doc)
     cut = len(doc) // 2
-    engine = MultiQueryEngine(MULTI_QUERIES, compiled=True)
+    engine = MultiQueryEngine(MULTI_QUERIES)
     engine.feed_text_push(doc[:cut])
-    snap = engine.snapshot()
-    json.dumps(snap)
-    assert snap["compiled"] is True
+    snap = json.loads(json.dumps(engine.snapshot()))
+    assert "compiled" not in snap
+    assert snap["units"][0]["trunks"] == [["pf1", "pf1_dup"], ["pf2"], ["wild"]]
     resumed = MultiQueryEngine.restore(snap)
-    assert resumed._compiled
     resumed.feed_text_push(doc[cut:])
     assert resumed.close() == reference
 
@@ -270,19 +287,20 @@ def test_multiq_compiled_snapshot_restore(seed):
 def test_multiq_turbo_gating():
     """Turbo engages only when every unit is a turbo-safe path machine
     and no registration delivers through a callback."""
-    pf = MultiQueryEngine({"x": "//a//b", "y": "/r/c"}, compiled=True)
+    pf = MultiQueryEngine({"x": "//a//b", "y": "/r/c"})
     assert pf.as_handler().turbo_scan_safe
 
-    with_pred = MultiQueryEngine({"x": "//a//b", "p": "//a[b]"}, compiled=True)
+    with_pred = MultiQueryEngine({"x": "//a//b", "p": "//a[b]"})
     assert not with_pred.as_handler().turbo_scan_safe
 
     with_cb = MultiQueryEngine(
-        {"x": "//a//b"}, on_match=lambda name, node_id: None, compiled=True
+        {"x": "//a//b"}, on_match=lambda name, node_id: None
     )
     assert not with_cb.as_handler().turbo_scan_safe
 
-    interpreted = MultiQueryEngine({"x": "//a//b"})
-    assert not interpreted.as_handler().turbo_scan_safe
+    limited = MultiQueryEngine()
+    limited.add_query("x", "//a//b", limits=ResourceLimits(max_depth=64))
+    assert not limited.as_handler().turbo_scan_safe
 
     # Gating is live: removing the blocking query re-enables turbo.
     with_pred.remove_query("p")

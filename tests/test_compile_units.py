@@ -119,9 +119,16 @@ class TestDfaPathM:
         assert DfaPathM("//a/b")._state_cap == DEFAULT_STATE_CAP
 
     def test_mid_stream_attach_misalignment_falls_back(self):
+        # First event arrives at depth 3.  Wildcard-free trunks fill the
+        # unseen levels with the step an unnamed tag takes, exactly as
+        # PathM treats elements it never saw.
         dfa = DfaPathM("//b")
-        # First event arrives at depth 3: depth-implicit tracking is
-        # unsound, the machine must delegate to PathM immediately.
+        dfa.start_element("b", 3, 7)
+        assert not dfa.fell_back
+        assert dfa.results == [7]
+        # A '*' step would advance on the unseen elements, so a wildcard
+        # trunk must delegate to PathM immediately.
+        dfa = DfaPathM("//*/b")
         dfa.start_element("b", 3, 7)
         assert dfa.fell_back
         assert dfa.results == [7]
@@ -180,6 +187,29 @@ LEGACY_COMPILED_SNAPSHOT = {
 LEGACY_DOC = ("<r><a><b/><c/><x><c/></x><c/></a>"
               "<a><c/><b/><c/></a><a><c/></a></r>")
 
+#: ``XPathStream("//a//b", compiled=True).snapshot()`` taken by the
+#: release before multi-trunk DFAs, cut inside ``<r><a><x>`` of
+#: ``LEGACY_DFA_DOC``.  Restoring it must finish with that release's ids.
+LEGACY_DFA_SNAPSHOT = {
+    "version": 1, "query": "//a//b", "engine": "dfa", "compiled": True,
+    "emission": "default", "policy": "strict", "limits": None,
+    "tokenizer": {
+        "version": 1, "buffer": "", "text_parts": [], "text_len": 0,
+        "stack": ["r", "a", "x"], "next_id": 8, "seen_root": True,
+        "closed": False, "line": 1, "column": 32, "skip_whitespace": True,
+        "policy": "strict", "ignore_depth": 0, "event_count": 11,
+        "diagnostic_count": 0, "bytes_fed": 31,
+    },
+    "machine": {
+        "dfa": {"stack": [[0], [0], [0, 1], [0, 1]], "tags": ["r", "a", "x"]},
+        "event_count": 0, "fallen": False,
+        "counters": {"starts": 7, "misses": 5, "fallbacks": 0},
+    },
+    "sink": {"results": [3, 5]},
+}
+LEGACY_DFA_DOC = ("<r><a><b/><c><b/></c></a><a><x><b/></x><c/></a>"
+                  "<c><a><b/></a></c></r>")
+
 
 class TestSelection:
     def test_auto_compiled_prefers_dfa_for_paths(self):
@@ -214,6 +244,12 @@ class TestSelection:
         assert type(stream.engine) is TwigM
         stream.feed_text(LEGACY_DOC[40:])  # the snapshot's bytes_fed
         assert stream.close() == [4, 7, 9, 11]
+
+    def test_legacy_dfa_snapshot_resumes(self):
+        stream = XPathStream.restore(LEGACY_DFA_SNAPSHOT)
+        assert type(stream.engine) is DfaPathM
+        stream.feed_text_push(LEGACY_DFA_DOC[31:])  # the snapshot's bytes_fed
+        assert stream.close() == [3, 5, 8, 12]
 
 
 # -- turbo scanner slow paths ------------------------------------------------
@@ -317,8 +353,7 @@ class TestCompileMetrics:
 
     def test_predicated_compiled_multiq_publishes_machine_counts(self):
         registry = MetricsRegistry()
-        engine = MultiQueryEngine({"q": "//a[b]/c"}, compiled=True,
-                                  metrics=registry)
+        engine = MultiQueryEngine({"q": "//a[b]/c"}, metrics=registry)
         engine.evaluate("<a><b/><c/></a>")
         assert self._machine_events(registry) > 0
         assert getattr(registry, "_compile_publisher", None) is None

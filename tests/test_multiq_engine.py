@@ -41,7 +41,7 @@ class TestEvaluation:
 
     def test_engine_dispatch_per_query(self):
         engines = MultiQueryEngine(QUERIES).engine_names()
-        assert engines["titles"] == "pathm"
+        assert engines["titles"] == "dfa"  # the shared path tier
         assert engines["cheap"] == "twigm"
 
     def test_names_and_len(self):

@@ -131,10 +131,17 @@ def test_malformed_snapshot_rejected():
 
 def test_mismatched_grouping_rejected():
     """A unit claiming a query with a different structure is refused."""
-    engine = MultiQueryEngine({"one": "//a/b", "two": "//a/c"})
+    engine = MultiQueryEngine({"one": "//a[x]/b", "two": "//a[x]/c"})
     snap = engine.snapshot()
     snap["units"][0]["queries"] = ["one", "two"]
     snap["units"] = snap["units"][:1]
+    with pytest.raises(CheckpointError):
+        MultiQueryEngine.restore(snap)
+    # The path tier: one trunk claiming two different path queries.
+    engine = MultiQueryEngine({"one": "//a/b", "two": "//a/c"})
+    snap = engine.snapshot()
+    assert snap["units"][0]["trunks"] == [["one"], ["two"]]
+    snap["units"][0]["trunks"] = [["one", "two"]]
     with pytest.raises(CheckpointError):
         MultiQueryEngine.restore(snap)
 
@@ -184,3 +191,96 @@ def test_per_query_limits_survive_restore():
     resumed = roundtrip(engine)
     with pytest.raises(ResourceLimitError):
         resumed.feed_events(parse_string(chain_xml(4, with_predicates=False)))
+
+
+# -- captures written before the shared path tier ----------------------------
+
+#: Two ``MultiQueryEngine`` captures taken by the release before the
+#: shared path tier, cut inside ``<r><a><x>`` of ``LEGACY_DOC`` (the
+#: tokenizer's ``bytes_fed``).  One ran ``compiled=True`` — each path
+#: query on its own ``dfa`` unit, blob carrying ``"compiled"`` — the
+#: other the default ``pathm`` units.  Both must restore and finish with
+#: that release's ids.
+LEGACY_DOC = "<r><a><b/><c><b/></c></a><a><x><b/></x><c/></a><c><a><b/></a></c></r>"
+LEGACY_RESULTS = {"p1": [3, 5, 8, 12], "p1dup": [3, 5, 8, 12], "p2": [4, 9],
+                  "w": [5, 8], "pred": [3, 5, 8]}
+_LEGACY_QUERIES = [
+    {"name": name, "query": query, "limits": None, "callback": False,
+     "tracked": False, "emission": "default"}
+    for name, query in (("p1", "//a//b"), ("p1dup", "//a//b"),
+                        ("p2", "/r/a/c"), ("w", "//a/*/b"),
+                        ("pred", "//a[c]//b"))
+]
+_LEGACY_TOKENIZER = {
+    "version": 1, "buffer": "", "text_parts": [], "text_len": 0,
+    "stack": ["r", "a", "x"], "next_id": 8, "seen_root": True,
+    "closed": False, "line": 1, "column": 32, "skip_whitespace": True,
+    "policy": "strict", "ignore_depth": 0, "event_count": 11,
+    "diagnostic_count": 0, "bytes_fed": 31,
+}
+_LEGACY_PRED_UNIT = {
+    "queries": ["pred"], "engine": "twigm", "virgin": False,
+    "machine": {"stacks": [[[2, 0, None, None, 0]], [], []],
+                "candidate_count": 0, "event_count": 0},
+    "sinks": {"pred": {"results": [3, 5]}},
+}
+
+
+def _legacy_dfa(stack, starts, misses):
+    return {"dfa": {"stack": stack, "tags": ["r", "a", "x"]},
+            "event_count": 0, "fallen": False,
+            "counters": {"starts": starts, "misses": misses, "fallbacks": 0}}
+
+
+LEGACY_COMPILED = {
+    "version": 1, "compiled": True, "policy": "strict", "limits": None,
+    "queries": _LEGACY_QUERIES,
+    "units": [
+        {"queries": ["p1", "p1dup"], "engine": "dfa", "virgin": False,
+         "machine": _legacy_dfa([[0], [0], [0, 1], [0, 1]], 7, 5),
+         "sinks": {"p1": {"results": [3, 5]}, "p1dup": {"results": [3, 5]}}},
+        {"queries": ["p2"], "engine": "dfa", "virgin": False,
+         "machine": _legacy_dfa([[0], [1], [2], []], 7, 6),
+         "sinks": {"p2": {"results": [4]}}},
+        {"queries": ["w"], "engine": "dfa", "virgin": False,
+         "machine": _legacy_dfa([[0], [0], [0, 1], [0, 2]], 7, 6),
+         "sinks": {"w": {"results": [5]}}},
+        _LEGACY_PRED_UNIT,
+    ],
+    "tokenizer": _LEGACY_TOKENIZER,
+    "stats": {"events": 11, "dispatched": 42, "broadcast": 55},
+}
+LEGACY_DEFAULT = {
+    "version": 1, "compiled": False, "policy": "strict", "limits": None,
+    "queries": _LEGACY_QUERIES,
+    "units": [
+        {"queries": ["p1", "p1dup"], "engine": "pathm", "virgin": False,
+         "machine": {"stacks": [[2], []], "event_count": 0},
+         "sinks": {"p1": {"results": [3, 5]}, "p1dup": {"results": [3, 5]}}},
+        {"queries": ["p2"], "engine": "pathm", "virgin": False,
+         "machine": {"stacks": [[1], [2], []], "event_count": 0},
+         "sinks": {"p2": {"results": [4]}}},
+        {"queries": ["w"], "engine": "pathm", "virgin": False,
+         "machine": {"stacks": [[2], []], "event_count": 0},
+         "sinks": {"w": {"results": [5]}}},
+        _LEGACY_PRED_UNIT,
+    ],
+    "tokenizer": _LEGACY_TOKENIZER,
+    "stats": {"events": 11, "dispatched": 29, "broadcast": 55},
+}
+
+
+@pytest.mark.parametrize("legacy", [LEGACY_COMPILED, LEGACY_DEFAULT],
+                         ids=["compiled-dfa-units", "default-pathm-units"])
+@pytest.mark.parametrize("push", [False, True], ids=["pull", "push"])
+def test_legacy_snapshot_resumes(legacy, push):
+    resumed = MultiQueryEngine.restore(json.loads(json.dumps(legacy)))
+    rest = LEGACY_DOC[legacy["tokenizer"]["bytes_fed"]:]
+    if push:
+        resumed.feed_text_push(rest)
+    else:
+        resumed.feed_text(rest)
+    assert resumed.close() == LEGACY_RESULTS
+    # A fresh capture of the resumed engine is the current version.
+    assert resumed.snapshot()["version"] == MULTIQ_SNAPSHOT_VERSION
+    assert "compiled" not in resumed.snapshot()

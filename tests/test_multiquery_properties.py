@@ -1,8 +1,8 @@
-"""Property-based tests: multi-query and filtering ≡ individual runs."""
+"""Property-based tests: multi-query and its shared path tier ≡
+individual runs."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.core.filtering import FilterSet
 from repro.core.processor import XPathStream
 from repro.multiq.engine import MultiQueryEngine
 from repro.stream.tokenizer import parse_string
@@ -29,9 +29,16 @@ def test_multiquery_equals_individual_runs(xml, queries):
     queries=st.lists(xpath_queries(), min_size=1, max_size=4, unique=True),
 )
 def test_filterset_equals_individual_runs(xml, queries):
-    named = {f"q{i}": query for i, query in enumerate(queries)}
+    """Path queries ride one shared DFA, routed, with identical results
+    in identical order."""
+    named = {f"q{i}": query for i, query in enumerate(queries)
+             if "[" not in query}
+    assume(named)
     events = list(parse_string(xml))
-    combined = FilterSet(named).evaluate(iter(events))
+    engine = MultiQueryEngine(named)
+    combined = engine.evaluate(iter(events))
+    assert set(engine.engine_names().values()) == {"dfa"}
+    assert engine.unit_count() == 1
     for name, query in named.items():
         alone = XPathStream(query).evaluate(iter(events))
-        assert sorted(combined[name]) == sorted(alone), (query, xml)
+        assert combined[name] == alone, (query, xml)

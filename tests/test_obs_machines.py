@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.compile.metrics import compile_publisher
 from repro.core.branchm import BranchM
 from repro.core.counts import OperationCounts
 from repro.core.pathm import PathM
@@ -212,28 +213,81 @@ def _machine_value(registry, family, engine="twigm"):
     return registry.get(family).get(engine=engine)
 
 
+#: query -> (publisher, engine label, live gauge, events counter, counter
+#: increase per ``<a></a>``).  Predicated queries run on the interpreted
+#: machines; predicate-free ones on the multiq path tier's lazy DFA.
+PUBLISHED = {
+    "//a[b]//c": (machine_publisher, "twigm", "repro_machine_live_entries",
+                  "repro_machine_events_total", 2),
+    "//a//c": (compile_publisher, "dfa", "repro_compile_dfa_states",
+               "repro_compile_dfa_starts_total", 1),
+}
+
+
 def test_removed_queries_leave_the_publisher():
+    _assert_removed_queries_leave_the_publisher("//a[b]//c")
+
+
+def test_removed_path_queries_leave_the_compile_publisher():
+    _assert_removed_queries_leave_the_publisher("//a//c")
+
+
+def _assert_removed_queries_leave_the_publisher(query):
+    publisher, label, live, total, per_cycle = PUBLISHED[query]
     registry = MetricsRegistry()
     engine = MultiQueryEngine(metrics=registry)
-    engine.add_query("q", "//a[b]//c")
+    engine.add_query("q", query)
     engine.feed_text("<r><a><a><a>")
-    assert _machine_value(registry, "repro_machine_live_entries") == 3
-    events = _machine_value(registry, "repro_machine_events_total")
+    assert engine.engine_names() == {"q": label}
+    assert _machine_value(registry, live, label) > 0
+    events = _machine_value(registry, total, label)
     assert events == 3
 
     engine.remove_query("q")
-    assert _machine_value(registry, "repro_machine_live_entries") == 0
-    assert _machine_value(registry, "repro_machine_events_total") == events
+    assert _machine_value(registry, live, label) == 0
+    assert _machine_value(registry, total, label) == events
 
     for cycle in range(50):
-        engine.add_query(f"q{cycle}", "//a[b]//c")
+        engine.add_query(f"q{cycle}", query)
         engine.feed_text("<a></a>")
         engine.remove_query(f"q{cycle}")
-        now = _machine_value(registry, "repro_machine_events_total")
-        assert now == events + 2
+        now = _machine_value(registry, total, label)
+        assert now == events + per_cycle
         events = now
-    assert machine_publisher(registry).engines == []
-    assert _machine_value(registry, "repro_machine_live_entries") == 0
+    assert publisher(registry).engines == []
+    assert _machine_value(registry, live, label) == 0
+
+
+def test_restore_swap_untracks_the_dropped_dfa():
+    """A wrapper that builds its dispatcher, then swaps in a restored one
+    on the same registry (as transform restore does), publishes the DFA
+    totals of an uninterrupted run and gauges only the live cache."""
+    xml = "<r><a><c/><a><c/></a></a><a><c/></a></r>"
+    first = MultiQueryEngine(metrics=MetricsRegistry())
+    first.add_query("q", "//a//c")
+    first.feed_text(xml[:16])
+    state = json.loads(json.dumps(first.snapshot()))
+    registry = MetricsRegistry()
+    built = MultiQueryEngine(metrics=registry)
+    built.add_query("q", "//a//c")
+    built.detach()
+    resumed = MultiQueryEngine.restore(state, metrics=registry)
+    resumed.feed_text(xml[16:])
+    resumed.close()
+    (unit,) = resumed._registry.units()
+    assert compile_publisher(registry).engines == [unit.engine]
+    whole_registry = MetricsRegistry()
+    whole = MultiQueryEngine(metrics=whole_registry)
+    whole.add_query("q", "//a//c")
+    whole.feed_text(xml)
+    whole.close()
+    assert resumed.results() == whole.results()
+    for family in ("repro_compile_dfa_starts_total",
+                   "repro_compile_fallbacks_total"):
+        assert _machine_value(registry, family, "dfa") == \
+            _machine_value(whole_registry, family, "dfa"), family
+    assert _machine_value(registry, "repro_compile_dfa_states", "dfa") == \
+        unit.engine.dfa_state_count
 
 
 def test_transform_restore_untracks_the_swapped_engine():

@@ -30,7 +30,7 @@ def test_run_stats_populates_every_family(corpus):
     for family in (
         "repro_tokenizer_bytes_total",
         "repro_tokenizer_events_total",
-        "repro_machine_events_total",
+        "repro_compile_dfa_starts_total",  # a path query: the DFA tier
         "repro_multiq_events_total",
         "repro_multiq_dispatched_total",
         "repro_multiq_router_hit_ratio",
@@ -60,7 +60,7 @@ def test_run_stats_results_match_unobserved(corpus):
 def test_cli_prometheus_output(corpus, capsys):
     assert cli_main(["stats", "//item/name", str(corpus)]) == 0
     out = capsys.readouterr().out
-    assert "# TYPE repro_machine_events_total counter" in out
+    assert "# TYPE repro_compile_dfa_starts_total counter" in out
     assert 'repro_multiq_emitted_total{query="query"} 2' in out
 
 

@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro import MultiQueryEngine, XPathStream, evaluate_push
-from repro.core.filtering import FilterSet
 from repro.errors import ResourceLimitError, XmlSyntaxError
 from repro.stream.events import EventCollector
 from repro.stream.faults import byte_split_chunks, corrupt_text
@@ -263,9 +262,14 @@ class TestMultiQueryAndFilterParity:
         assert push.dispatch_stats().events == pull.dispatch_stats().events
 
     def test_filter_set(self, book_catalog_xml):
-        pull = FilterSet(self.QUERY_SET).evaluate(book_catalog_xml)
-        push = FilterSet(self.QUERY_SET).evaluate_push(book_catalog_xml)
-        assert push == pull
+        # A path-only set runs entirely on the shared path tier, and its
+        # push pass goes through the turbo scanner.
+        paths = {name: query for name, query in self.QUERY_SET.items()
+                 if "[" not in query}
+        pull = MultiQueryEngine(paths).evaluate(book_catalog_xml)
+        push = MultiQueryEngine(paths)
+        assert push.as_handler().turbo_scan_safe
+        assert push.evaluate_push(book_catalog_xml) == pull
 
     @pytest.mark.parametrize("seed", range(10))
     def test_multiq_random_documents(self, seed):

@@ -158,6 +158,27 @@ class TestIndexSkipping:
         assert stats.segments_skipped > 0
         assert stats.skip_ratio >= 0.5  # the bulk zone is provably dead
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_path_tier_skipping_matches_unskipped(self, tmp_path, seed):
+        """A path-only set runs on multiq's shared DFA, which fills the
+        levels a skipped segment hid."""
+        text = self._two_zone_doc() if seed == 0 else random_document(seed + 700)
+        store = str(tmp_path / f"s{seed}")
+        ingest(text, store, segment_events=24, sync="none")
+        queries = {"xy": "//x/y", "xy_deep": "//x//y", "rooted": "/catalog/misc/x",
+                   "ab": "//a//b", "ab_child": "//a/b"}
+        engine = MultiQueryEngine(queries)
+        assert set(engine.engine_names().values()) == {"dfa"}
+        assert not engine.interest()[1]  # routable: skipping applies
+        stats = ReplayStats()
+        skipped = replay(engine, store, stats=stats)
+        unskipped = replay(MultiQueryEngine(queries), store, skip=False)
+        assert skipped == unskipped
+        assert skipped == {name: XPathStream(q).evaluate(text)
+                           for name, q in queries.items()}
+        if seed == 0:
+            assert stats.segments_skipped > 0
+
     def test_wildcard_query_never_skips(self, tmp_path):
         store = str(tmp_path / "s")
         ingest(self._two_zone_doc(), store, segment_events=64, sync="none")
